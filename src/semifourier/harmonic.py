@@ -147,10 +147,6 @@ def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
     return reps
 
 
-def irreps_complete(s: InverseStructure, reps: list[InducedRep]) -> bool:
-    return sum(r.dim * r.dim for r in reps) == s.table.order - 1
-
-
 @dataclass(frozen=True)
 class FourierData:
     """A map together with its transform at every induced irrep."""
@@ -174,9 +170,38 @@ def fourier_transform_all(f: MatrixMap, reps: list[InducedRep]) -> FourierData:
     return FourierData(f, tuple(reps), tuple(fourier(f, r) for r in reps))
 
 
-def _check_complete(s: InverseStructure, reps) -> None:
-    if sum(r.dim * r.dim for r in reps) != s.table.order - 1:
-        raise IncompleteIrrepSet("sum of squared dimensions differs from |S| - 1")
+def check_irreps_complete(s: InverseStructure, reps) -> None:
+    """Raise IncompleteIrrepSet unless every D-class is covered exactly.
+
+    A complete family has sum of d_sigma^2 = |D_k| over the irreps induced on
+    each class k (hence |S| - 1 in total); a family that repeats the irreps of
+    one class can match the total while leaving another class uncovered.
+    """
+    got: dict[int, int] = {}
+    for r in reps:
+        got[r.class_index] = got.get(r.class_index, 0) + r.dim * r.dim
+    for k, cls in enumerate(s.dclasses):
+        if got.pop(k, 0) != len(cls):
+            raise IncompleteIrrepSet(
+                f"sum of squared dimensions on D-class {k} differs from its size {len(cls)}"
+            )
+    if got:
+        raise IncompleteIrrepSet(f"irreps name unknown D-classes {sorted(got)}")
+
+
+def _invert(data: FourierData, elements: np.ndarray) -> np.ndarray:
+    """PhiT(floor(s)) for each s in elements, one einsum per irrep."""
+    st = data.map.structure
+    check_irreps_complete(st, data.reps)
+    n = data.map.dim
+    total = np.zeros((len(elements), n, n), dtype=complex)
+    weight = np.ones(len(elements))
+    classes = st.class_of[elements]
+    sinv = st.inv[elements]
+    for rep, t in zip(data.reps, data.transforms):
+        total += rep.dim * np.einsum("skb,bikj->sij", rep.matrices[sinv], t.reshaped())
+        weight[classes == rep.class_index] = rep.weight
+    return total / weight[:, None, None]
 
 
 def fourier_invert(data: FourierData, s_elem: int) -> np.ndarray:
@@ -186,30 +211,16 @@ def fourier_invert(data: FourierData, s_elem: int) -> np.ndarray:
                      tr_sigma[(sigma(floor(s^-1)) (x) I) FT(sigma)],
     with r_k, |G_k| taken from the class of s.
     """
-    st = data.map.structure
-    _check_complete(st, data.reps)
-    if s_elem == st.zero:
+    if s_elem == data.map.structure.zero:
         raise ValueError("zero has no groupoid coefficient")
-    n = data.map.dim
-    sinv = int(st.inv[s_elem])
-    total = np.zeros((n, n), dtype=complex)
-    weight = None
-    for rep, t in zip(data.reps, data.transforms):
-        if rep.class_index == st.class_of[s_elem]:
-            weight = rep.weight
-        block = t.reshaped()
-        total += rep.dim * np.einsum("kb,bikj->ij", rep.matrices[sinv], block)
-    return total / weight
+    return _invert(data, np.array([s_elem]))[0]
 
 
 def invert_to_map(data: FourierData) -> MatrixMap:
     """Full inverse transform, returned as a groupoid-basis map."""
     st = data.map.structure
-    n = data.map.dim
-    vals = np.zeros((st.table.order, n, n), dtype=complex)
-    for s_elem in st.nonzero:
-        vals[s_elem] = fourier_invert(data, s_elem)
-    return MatrixMap(st, n, GROUPOID, vals)
+    vals = _invert(data, np.arange(st.table.order))
+    return MatrixMap(st, data.map.dim, GROUPOID, vals)
 
 
 def plancherel_check(
@@ -223,7 +234,7 @@ def plancherel_check(
     """
     check_same_semigroup(f, g)
     st = f.structure
-    _check_complete(st, reps)
+    check_irreps_complete(st, reps)
     fvals = groupoid_values(f)
     gvals = groupoid_values(g)
     weights = {rep.class_index: rep.weight for rep in reps}

@@ -2,11 +2,17 @@
 inversion, and the supermap layer (basis supermaps, star convolution,
 representing map).
 
-The convolution of two maps sums Phi(s_i) Phi'(s_j) over all factorizations
-s_i s_j = s_k with nonzero factors; it corresponds to the product of the
-lifted tensors in C0[S] (x) M_n.  On the matrix-unit semigroup the lift is
-the Choi matrix and convolution becomes the product preserved by the
-Choi-Jamiolkowski isomorphism.
+The convolution of two maps, (Phi * Psi)(k) = sum over nonzero factorizations
+s t = k of Phi(s) Psi(t), is the product of their lifts sum_s s (x) Phi(s) in
+C0[S] (x) M_n: this is the paper's isomorphism between the convolution
+algebra L(C0[S], M_n) and C0[S] (x) M_n.  The product is formed in the
+groupoid basis, in which C0[S] is the groupoid algebra
+(+)_k M_{r_k}(C[G_k]) and floor(s) floor(t) = floor(st) exactly when
+dom(s) = ran(t).  Each coefficient of the product is then a sum over one
+R-class, gathered from index tables the structure builds once, and Mobius
+inversion brings it back to the natural basis.  On the matrix-unit semigroup
+the natural order is discrete, the lift is the Choi matrix, and convolution
+becomes the product preserved by the Choi-Jamiolkowski isomorphism.
 """
 
 from __future__ import annotations
@@ -22,35 +28,26 @@ from .errors import (
     WrongBasis,
     WrongSemigroup,
 )
-from .harmonic import NATURAL, MatrixMap, check_same_semigroup
-from .semigroup import InverseStructure, build_matrix_units, matrix_unit_index
-
-
-def _factorizations(structure: InverseStructure) -> dict[int, list[tuple[int, int]]]:
-    """For every nonzero k, the list of nonzero pairs (i, j) with i*j = k."""
-    z = structure.zero
-    tab = structure.table.table
-    out: dict[int, list[tuple[int, int]]] = {k: [] for k in structure.nonzero}
-    for i in structure.nonzero:
-        row = tab[i]
-        for j in structure.nonzero:
-            k = int(row[j])
-            if k != z:
-                out[k].append((i, j))
-    return out
+from .harmonic import GROUPOID, NATURAL, MatrixMap, check_same_semigroup, from_groupoid, to_groupoid
+from .semigroup import InverseStructure, build_matrix_units
 
 
 def convolve(f1: MatrixMap, f2: MatrixMap) -> MatrixMap:
-    """Semigroup convolution of two natural-basis maps."""
+    """Semigroup convolution of two natural-basis maps.
+
+    Both maps move to the groupoid basis, where the product's coefficient at
+    floor(k) is sum over ran(s) = ran(k) of PhiT(floor(s)) PsiT(floor(s^-1 k)):
+    one batched product over the structure's padded R-class tables.
+    The result comes back through Mobius inversion.
+    """
     check_same_semigroup(f1, f2)
     if f1.basis != NATURAL or f2.basis != NATURAL:
         raise WrongBasis("convolution is defined on natural-basis maps")
-    st = f1.structure
-    out = np.zeros_like(f1.values)
-    for k, pairs in _factorizations(st).items():
-        for i, j in pairs:
-            out[k] += f1.values[i] @ f2.values[j]
-    return MatrixMap(st, f1.dim, NATURAL, out)
+    left, right = f1.structure.groupoid_factors
+    vals = np.einsum(
+        "kmab,kmbc->kac", to_groupoid(f1).values[left], to_groupoid(f2).values[right]
+    )
+    return from_groupoid(MatrixMap(f1.structure, f1.dim, GROUPOID, vals))
 
 
 @dataclass(frozen=True)
@@ -77,19 +74,11 @@ def tensor_lift(f: MatrixMap) -> TensorAlgebraElement:
 
 
 def tensor_mul(x: TensorAlgebraElement, y: TensorAlgebraElement) -> TensorAlgebraElement:
-    """Product in C0[S] (x) M_n: multiply basis elements via the table, drop z."""
+    """Product in C0[S] (x) M_n: the convolution of the two coefficient maps."""
     if not x.structure.same_semigroup(y.structure) or x.dim != y.dim:
         raise DimensionMismatch("tensor elements are incompatible")
-    st = x.structure
-    z = st.zero
-    tab = st.table.table
-    out = np.zeros_like(x.coeffs)
-    for i in st.nonzero:
-        for j in st.nonzero:
-            k = int(tab[i, j])
-            if k != z:
-                out[k] += x.coeffs[i] @ y.coeffs[j]
-    return TensorAlgebraElement(st, x.dim, out)
+    product = convolve(tensor_to_map(x), tensor_to_map(y))
+    return TensorAlgebraElement(x.structure, x.dim, product.values)
 
 
 def tensor_to_map(x: TensorAlgebraElement) -> MatrixMap:
@@ -112,14 +101,9 @@ def matrix_units_size(structure: InverseStructure) -> int:
 def choi(f: MatrixMap) -> BlockTensor:
     """Choi matrix sum_ij e_ij (x) Phi(e_ij) of a map on matrix units."""
     m = matrix_units_size(f.structure)
-    # the natural order on matrix units is discrete, so both bases store Phi(e_ij)
-    vals = f.values
-    n = f.dim
-    c = np.zeros((m, n, m, n), dtype=complex)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            c[i - 1, :, j - 1, :] = vals[matrix_unit_index(m, i, j)]
-    return BlockTensor(m, n, c.reshape(m * n, m * n))
+    # the natural order on matrix units is discrete, so both bases store Phi(e_ij),
+    # and e_ij is element 1 + (i-1) m + (j-1): values[1:] is the value table
+    return map_values_to_choi(f.values[1:].reshape(m, m, f.dim, f.dim))
 
 
 def choi_invert(c: BlockTensor, x: np.ndarray) -> np.ndarray:
@@ -138,11 +122,8 @@ def map_from_choi(c: BlockTensor, structure: InverseStructure) -> MatrixMap:
     if c.dim_left != m:
         raise DimensionMismatch("Choi tensor does not match the semigroup")
     n = c.dim_right
-    c4 = c.reshaped()
     vals = np.zeros((structure.table.order, n, n), dtype=complex)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            vals[matrix_unit_index(m, i, j)] = c4[i - 1, :, j - 1, :]
+    vals[1:] = choi_to_map_values(c).reshape(m * m, n, n)
     return MatrixMap(structure, n, NATURAL, vals)
 
 

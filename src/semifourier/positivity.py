@@ -34,8 +34,8 @@ from .harmonic import (
     induced_irreps,
     to_groupoid,
 )
-from .maps import choi, choi_invert, matrix_units_size
-from .semigroup import InverseStructure, build_matrix_units, matrix_unit_index
+from .maps import choi, map_from_choi, matrix_units_size
+from .semigroup import InverseStructure, build_matrix_units
 
 PD_MODES = ("natural", "groupoid", "blocks")
 
@@ -79,32 +79,25 @@ def eval_groupoid(f: MatrixMap) -> np.ndarray:
     return np.einsum("ts,tij->sij", mob, f.values)
 
 
+def _block_matrix(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The square block matrix whose (a, b) block is vals[idx[a, b]], in one gather."""
+    p, n = len(idx), vals.shape[-1]
+    return vals[idx].transpose(0, 2, 1, 3).reshape(p * n, p * n)
+
+
 def _pd_matrix_natural(f: MatrixMap) -> np.ndarray:
     st = f.structure
-    vals = eval_natural(f)
-    nz = st.nonzero
-    n = f.dim
-    big = np.zeros((len(nz) * n, len(nz) * n), dtype=complex)
-    for a, s in enumerate(nz):
-        for b, t in enumerate(nz):
-            u = st.mul(int(st.inv[s]), t)
-            if u != st.zero:
-                big[a * n : (a + 1) * n, b * n : (b + 1) * n] = vals[u]
-    return big
+    e = np.asarray(st.nonzero)
+    return _block_matrix(eval_natural(f), st.table.table[st.inv[e][:, None], e[None, :]])
 
 
 def _pd_matrix_groupoid(f: MatrixMap, elements) -> np.ndarray:
     st = f.structure
-    vals = eval_groupoid(f)
-    n = f.dim
-    big = np.zeros((len(elements) * n, len(elements) * n), dtype=complex)
-    for a, s in enumerate(elements):
-        for b, t in enumerate(elements):
-            # floor(s^-1) floor(t) = floor(s^-1 t) iff ran(s) = ran(t)
-            if st.ran[s] == st.ran[t]:
-                u = st.mul(int(st.inv[s]), t)
-                big[a * n : (a + 1) * n, b * n : (b + 1) * n] = vals[u]
-    return big
+    e = np.asarray(elements)
+    # floor(s^-1) floor(t) = floor(s^-1 t) iff ran(s) = ran(t); other blocks read z's zero slot
+    same_ran = st.ran[e][:, None] == st.ran[e][None, :]
+    idx = np.where(same_ran, st.table.table[st.inv[e][:, None], e[None, :]], st.zero)
+    return _block_matrix(eval_groupoid(f), idx)
 
 
 @dataclass(frozen=True)
@@ -213,21 +206,6 @@ class Dilation:
     star_residual: float
 
 
-def _left_mult_operators(st: InverseStructure, n: int) -> np.ndarray:
-    """L_s on C0[S] (x) C^n coefficient vectors, per nonzero s (0/1 matrices)."""
-    nz = list(st.nonzero)
-    pos = {s: i for i, s in enumerate(nz)}
-    dim = len(nz) * n
-    ops = np.zeros((st.table.order, dim, dim))
-    for s in nz:
-        for t in nz:
-            if st.dom[s] == st.ran[t]:
-                u = st.mul(s, t)
-                for i in range(n):
-                    ops[s, pos[u] * n + i, pos[t] * n + i] = 1.0
-    return ops
-
-
 def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     """Dilate a positive definite groupoid-basis map via the GNS quotient.
 
@@ -258,10 +236,20 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     coords = np.sqrt(wk)[:, None] * uk.conj().T          # x -> coordinates of [x]
     lift = uk * (1.0 / np.sqrt(wk))[None, :]             # coordinates -> representative
 
-    lmult = _left_mult_operators(st, n)
-    pi = np.zeros((st.table.order, dim, dim), dtype=complex)
+    # coordinates and representatives per element, zero at z to absorb padding
+    order = st.table.order
+    coords_at = np.zeros((dim, order, n), dtype=complex)
+    coords_at[:, nz] = coords.reshape(dim, len(nz), n)
+    lift_at = np.zeros((order, n, dim), dtype=complex)
+    lift_at[nz] = lift.reshape(len(nz), n, dim)
+    # left multiplication by s sends floor(t) to floor(u) for u in the R-class
+    # of s and t = s^-1 u, and kills every other groupoid element
+    pi = np.zeros((order, dim, dim), dtype=complex)
+    r_classes = st.groupoid_factors[0]
     for s in nz:
-        pi[s] = coords @ lmult[s] @ lift
+        u = r_classes[s]
+        t = st.table.table[st.inv[s], u]
+        pi[s] = coords_at[:, u].reshape(dim, -1) @ lift_at[t].reshape(-1, dim)
 
     # V x = [identity (x) x] with identity = sum over nonzero idempotents
     w_embed = np.zeros((len(nz) * n, n))
@@ -345,14 +333,8 @@ def rep_fourier(rho: MatrixAlgebraRep, f: MatrixMap) -> BlockTensor:
     if m != rho.m:
         raise DimensionMismatch("representation and map have different source sizes")
     d, n = rho.dim, f.dim
-    out = np.zeros((d, n, d, n), dtype=complex)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            out += np.einsum(
-                "ab,ij->aibj",
-                rho.matrices[i - 1, j - 1],
-                f.values[matrix_unit_index(m, i, j)],
-            )
+    # e_ij is element 1 + (i-1) m + (j-1), so values[1:] is the value table
+    out = np.einsum("pqab,pqij->aibj", rho.matrices, f.values[1:].reshape(m, m, n, n))
     return BlockTensor(d, n, out.reshape(d * n, d * n))
 
 
@@ -455,14 +437,7 @@ def _probe_map(structure, m, n, kind, seed, trial) -> MatrixMap:
         rng = np.random.default_rng([seed, trial, 7])
         h = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
         h = (h + h.conj().T) / 2.0
-        c = BlockTensor(m, n, h)
-        vals = np.zeros((structure.table.order, n, n), dtype=complex)
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                basis = np.zeros((m, m), dtype=complex)
-                basis[i - 1, j - 1] = 1.0
-                vals[matrix_unit_index(m, i, j)] = choi_invert(c, basis)
-        return MatrixMap(structure, n, NATURAL, vals)
+        return map_from_choi(BlockTensor(m, n, h), structure)
     return random_map(structure, n, seed=seed * 100003 + trial)
 
 
@@ -484,12 +459,8 @@ def kraus_map(
         if matrix_units_size(structure) != m:
             raise WrongSemigroup("structure does not match Kraus input dimension")
     vals = np.zeros((structure.table.order, n, n), dtype=complex)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            acc = np.zeros((n, n), dtype=complex)
-            for k in ops:
-                acc += np.outer(k[:, i - 1], k[:, j - 1].conj())
-            vals[matrix_unit_index(m, i, j)] = acc
+    # Phi(e_ij) = sum_k K_k e_ij K_k^dagger = sum_k (column i of K_k)(column j of K_k)^dagger
+    vals[1:] = np.einsum("kai,kbj->ijab", ops, np.conj(ops)).reshape(m * m, n, n)
     return MatrixMap(structure, n, NATURAL, vals)
 
 
@@ -515,11 +486,8 @@ def transpose_map(m: int, structure: InverseStructure | None = None) -> MatrixMa
 
         structure = inverse_structure(build_matrix_units(m))
     vals = np.zeros((structure.table.order, m, m), dtype=complex)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            e = np.zeros((m, m), dtype=complex)
-            e[j - 1, i - 1] = 1.0
-            vals[matrix_unit_index(m, i, j)] = e
+    # Phi(e_ij) = e_ji: the identity map's value table with the output axes swapped
+    vals[1:] = np.eye(m * m).reshape(m, m, m, m).transpose(0, 1, 3, 2).reshape(m * m, m, m)
     return MatrixMap(structure, m, NATURAL, vals)
 
 
@@ -533,12 +501,14 @@ def gram_pd_map(structure: InverseStructure, n: int, seed: int = 0) -> MatrixMap
     """
     rng = np.random.default_rng([seed, structure.table.order, n, 13])
     nz = list(structure.nonzero)
-    lmult = _left_mult_operators(structure, 1)  # n = 1 gives plain L_s on C0[S]
     p = len(nz)
     v = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
-    vals = np.zeros((structure.table.order, n, n), dtype=complex)
-    for s in nz:
-        vals[s] = v.conj().T @ lmult[s] @ v
+    v_at = np.zeros((structure.table.order, n), dtype=complex)
+    v_at[nz] = v
+    # V^dagger L_s V sums conj(V[u]) V[t] over u in the R-class of s, t = s^-1 u
+    u = structure.groupoid_factors[0]
+    t = structure.table.table[structure.inv[:, None], u]
+    vals = np.einsum("kma,kmb->kab", v_at[u].conj(), v_at[t])
     return MatrixMap(structure, n, GROUPOID, vals)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,16 +105,15 @@ def build_matrix_units(m: int) -> SemigroupTable:
         raise ValueError("m must be >= 1")
     names = ["z"] + [f"e_{i}_{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
     n = m * m + 1
-
-    def unit(i, j):  # 1-based unit -> element index
-        return 1 + (i - 1) * m + (j - 1)
-
+    # units[i, j, k, l] is the index of e_ij * e_kl (0-based i, j, k, l)
+    a = np.arange(m)
+    units = np.where(
+        (a[:, None] == a[None, :])[None, :, :, None],
+        1 + m * a[:, None, None, None] + a[None, None, None, :],
+        0,
+    )
     tab = np.zeros((n, n), dtype=np.int32)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    tab[unit(i, j), unit(k, l)] = unit(i, l) if j == k else 0
+    tab[1:, 1:] = units.reshape(m * m, m * m)
     return SemigroupTable(f"matrix_units:{m}", tuple(names), 0, tab)
 
 
@@ -312,9 +312,29 @@ class InverseStructure:
     def zero(self) -> int:
         return self.table.zero
 
-    @property
+    @cached_property
     def nonzero(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.table.order) if i != self.zero)
+
+    @cached_property
+    def groupoid_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index tables (left, right) of the groupoid factorizations of each k.
+
+        In the groupoid basis floor(s) floor(t) = floor(st) when dom(s) = ran(t)
+        and 0 otherwise, so floor(k) = floor(left[k, m]) floor(right[k, m]) for
+        exactly the m below: left[k] is the R-class of k (the t with
+        ran(t) = ran(k), ascending) and right[k, m] = left[k, m]^-1 k.  Rows
+        are padded with z to the widest R-class; the row of z is all z.
+        """
+        n, ran = self.table.order, self.ran
+        members = [np.flatnonzero(ran == e) for e in self.idempotents]
+        left = np.full((n, max(map(len, members), default=0)), self.zero, dtype=np.intp)
+        for e, row in zip(self.idempotents, members):
+            left[ran == e, : len(row)] = row
+        right = self.table.table[self.inv[left], np.arange(n)[:, None]]
+        left.setflags(write=False)
+        right.setflags(write=False)
+        return left, right
 
     def mul(self, a: int, b: int) -> int:
         return self.table.mul(a, b)

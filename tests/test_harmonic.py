@@ -262,6 +262,22 @@ def test_inversion_requires_complete_set(i2):
         fourier_invert(data, i2.nonzero[0])
 
 
+def test_family_missing_a_dclass_is_rejected(i2):
+    # the two dimension-1 irreps of I_2, three times over: sum d^2 = |S| - 1,
+    # but the class whose irrep has dimension 2 is never covered
+    ones = [r for r in get_irreps("builtin:symmetric_inverse:2") if r.dim == 1] * 3
+    assert sum(r.dim * r.dim for r in ones) == i2.table.order - 1
+    f = random_matrix_map(i2, 2, 8)
+    data = FourierData(f, tuple(ones), tuple(fourier(f, r) for r in ones))
+    for s in i2.nonzero:
+        with pytest.raises(IncompleteIrrepSet):
+            fourier_invert(data, s)
+    with pytest.raises(IncompleteIrrepSet):
+        invert_to_map(data)
+    with pytest.raises(IncompleteIrrepSet):
+        plancherel_check(f, f, ones)
+
+
 def test_inversion_invariant_under_unitary_conjugation(i2):
     reps = get_irreps("builtin:symmetric_inverse:2")
     conj = [
