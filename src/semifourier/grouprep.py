@@ -144,10 +144,6 @@ def unitary_irreps(group: GroupTable, seed: int = 0) -> list[GroupRep]:
     raise NonConvergent(f"irrep generation failed after {_MAX_ATTEMPTS} attempts: {last}")
 
 
-def irreps_complete(group: GroupTable, reps: list[GroupRep]) -> bool:
-    return sum(r.dim * r.dim for r in reps) == group.order
-
-
 # --- Fourier analysis on a group -------------------------------------------
 
 def _check_same_group(a, b) -> None:

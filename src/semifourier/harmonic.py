@@ -67,12 +67,24 @@ def check_same_semigroup(a: MatrixMap, b: MatrixMap) -> None:
         raise DimensionMismatch("maps have different target dimensions")
 
 
+def combine(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_t table[s, t] values[t] for every s, as one real matrix product.
+
+    ``table`` is a float (|S|, |S|) table such as ``InverseStructure.leq_float``
+    (or its transpose); the complex values are viewed as pairs of floats so
+    that the product runs in real BLAS.
+    """
+    v = np.ascontiguousarray(values, dtype=complex)
+    flat = v.reshape(len(v), -1).view(float)
+    return (table @ flat).view(complex).reshape(v.shape)
+
+
 def to_groupoid(f: MatrixMap) -> MatrixMap:
     """Coefficient change natural -> groupoid: PhiT(floor(s)) = sum_{t >= s} Phi(t)."""
     if f.basis != NATURAL:
         raise WrongBasis("to_groupoid expects a natural-basis map")
     # leq[s, t] = 1 iff s <= t, so summing over the second index walks the up-set
-    vals = np.einsum("st,tij->sij", f.structure.leq.astype(float), f.values)
+    vals = combine(f.structure.leq_float, f.values)
     return MatrixMap(f.structure, f.dim, GROUPOID, vals)
 
 
@@ -80,8 +92,8 @@ def from_groupoid(f: MatrixMap) -> MatrixMap:
     """Coefficient change groupoid -> natural: Phi(s) = sum_{t >= s} mu(s,t) PhiT(floor(t))."""
     if f.basis != GROUPOID:
         raise WrongBasis("from_groupoid expects a groupoid-basis map")
-    mob = f.structure.mobius.astype(float)  # mob[s, t] = mu(s, t) for s <= t
-    vals = np.einsum("st,tij->sij", mob, f.values)
+    # mobius[s, t] = mu(s, t) for s <= t
+    vals = combine(f.structure.mobius_float, f.values)
     return MatrixMap(f.structure, f.dim, NATURAL, vals)
 
 
@@ -117,8 +129,7 @@ class InducedRep:
 
     def natural_matrices(self) -> np.ndarray:
         """Action on natural elements: sigma(s) = sum_{t <= s} sigma(floor(t))."""
-        leq = self.structure.leq.astype(float)
-        return np.einsum("ts,tab->sab", leq, self.matrices)
+        return combine(self.structure.leq_float.T, self.matrices)
 
 
 def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:

@@ -30,6 +30,7 @@ from .harmonic import (
     NATURAL,
     InducedRep,
     MatrixMap,
+    combine,
     fourier,
     induced_irreps,
     to_groupoid,
@@ -48,13 +49,24 @@ def _psd_verdict(mat: np.ndarray, tol: float) -> tuple[bool, float, float]:
     """
     if mat.size == 0:
         return True, 0.0, 0.0
-    defect = hermitian_defect(mat)
-    scale = max(1.0, float(np.abs(mat).max()))
-    h = (mat + mat.conj().T) / 2.0
-    w = np.linalg.eigvalsh(h)
-    lo = float(w[0])
-    norm2 = float(max(abs(w[0]), abs(w[-1])))
-    return defect <= tol * scale and lo >= -tol * max(1.0, norm2), lo, defect
+    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    ok, lo, defect, _ = _block_verdict([mat], [w], tol)
+    return ok, lo, defect
+
+
+def _block_verdict(blocks, spectra, tol: float) -> tuple[bool, float, float, float]:
+    """PSD verdict of the block-diagonal matrix with these diagonal blocks.
+
+    ``spectra`` holds the ascending eigenvalues of each Hermitized block.  Off
+    the blocks the matrix is zero, so its min eigenvalue, ||.||_2, hermitian
+    defect and scale are the block-wise min / max of the same quantities.
+    Returns (verdict, min eigenvalue, hermitian defect, ||.||_2).
+    """
+    defect = max((hermitian_defect(b) for b in blocks), default=0.0)
+    scale = max([1.0] + [float(np.abs(b).max()) for b in blocks if b.size])
+    lo = min((float(w[0]) for w in spectra if w.size), default=0.0)
+    norm2 = max((float(max(abs(w[0]), abs(w[-1]))) for w in spectra if w.size), default=0.0)
+    return defect <= tol * scale and lo >= -tol * max(1.0, norm2), lo, defect, norm2
 
 
 # --- evaluation of the stored linear map on either basis --------------------
@@ -67,16 +79,14 @@ def eval_natural(f: MatrixMap) -> np.ndarray:
     """
     if f.basis == NATURAL:
         return f.values
-    leq = f.structure.leq.astype(float)
-    return np.einsum("ts,tij->sij", leq, f.values)
+    return combine(f.structure.leq_float.T, f.values)
 
 
 def eval_groupoid(f: MatrixMap) -> np.ndarray:
     """Values of the stored linear map on groupoid elements: Lambda(floor(s))."""
     if f.basis == GROUPOID:
         return f.values
-    mob = f.structure.mobius.astype(float)
-    return np.einsum("ts,tij->sij", mob, f.values)
+    return combine(f.structure.mobius_float.T, f.values)
 
 
 def _block_matrix(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -209,68 +219,80 @@ class Dilation:
 def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     """Dilate a positive definite groupoid-basis map via the GNS quotient.
 
-    The Gram matrix of the sesquilinear form is eigendecomposed; eigenpairs
-    above tol * ||G||_2 span the quotient, pi compresses left multiplication
-    to that basis, and V is the class of (identity (x) x).  All invariants
-    are verified a posteriori and their residuals recorded.
+    The Gram matrix of the sesquilinear form is block diagonal over the
+    ran-idempotents, since floor(s^-1) floor(t) = 0 unless ran(s) = ran(t).
+    Each block G_e, over the R-class {s : ran(s) = e}, is eigendecomposed on
+    its own; eigenpairs above tol * ||G||_2 span the summand H_e of the
+    quotient, and the basis of H runs through the H_e in ascending order of
+    e.  pi(s) compresses left multiplication by s, which sends H_dom(s) to
+    H_ran(s) and kills every other summand, so it is one d_ran(s) x d_dom(s)
+    block; V is the class of (identity (x) x).  All invariants are verified a
+    posteriori on the blocks and their residuals recorded.
     """
     if f.basis != GROUPOID:
         raise WrongBasis("stinespring expects a groupoid-basis map")
     st = f.structure
-    n = f.dim
-    nz = list(st.nonzero)
-    pos = {s: i for i, s in enumerate(nz)}
-    gram = _pd_matrix_groupoid(f, nz)
-    ok, lo, defect = _psd_verdict(gram, tol)
+    n, order = f.dim, st.table.order
+    r_classes = st.groupoid_factors[0]
+    members = [r_classes[e][r_classes[e] != st.zero] for e in st.idempotents]
+    grams = [_pd_matrix_groupoid(f, m) for m in members]
+    eigs = [np.linalg.eigh((g + g.conj().T) / 2.0) for g in grams]
+    ok, lo, defect, norm2 = _block_verdict(grams, [w for w, _ in eigs], tol)
     if not ok:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
-    gram = (gram + gram.conj().T) / 2.0
-    w, u = np.linalg.eigh(gram)
-    norm2 = float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-    keep = w > tol * max(1.0, norm2)
-    wk = w[keep]
-    uk = u[:, keep]
-    dim = int(keep.sum())
-    coords = np.sqrt(wk)[:, None] * uk.conj().T          # x -> coordinates of [x]
-    lift = uk * (1.0 / np.sqrt(wk))[None, :]             # coordinates -> representative
+    keep = [w > tol * max(1.0, norm2) for w, _ in eigs]
+    idem = np.array(st.idempotents, dtype=np.intp)
+    dims = np.zeros(order, dtype=int)                    # d_e at each idempotent e
+    dims[idem] = [int(k.sum()) for k in keep]
+    width = int(dims.max())
 
-    # coordinates and representatives per element, zero at z to absorb padding
-    order = st.table.order
-    coords_at = np.zeros((dim, order, n), dtype=complex)
-    coords_at[:, nz] = coords.reshape(dim, len(nz), n)
-    lift_at = np.zeros((order, n, dim), dtype=complex)
-    lift_at[nz] = lift.reshape(len(nz), n, dim)
+    # per element u and coordinate i, the coordinates of [floor(u) (x) x_i] in
+    # H_ran(u), and the representatives of the basis of H_ran(u) at u, both
+    # padded to the widest summand and zero at z to absorb padding
+    coords_at = np.zeros((order, n, width), dtype=complex)
+    lift_at = np.zeros((order, n, width), dtype=complex)
+    for e, m, (w, u), k in zip(st.idempotents, members, eigs, keep):
+        d, wk, uk = dims[e], w[k], u[:, k]
+        coords_at[m, :, :d] = (np.sqrt(wk)[None, :] * uk.conj()).reshape(len(m), n, d)
+        lift_at[m, :, :d] = (uk / np.sqrt(wk)[None, :]).reshape(len(m), n, d)
     # left multiplication by s sends floor(t) to floor(u) for u in the R-class
-    # of s and t = s^-1 u, and kills every other groupoid element
-    pi = np.zeros((order, dim, dim), dtype=complex)
-    r_classes = st.groupoid_factors[0]
-    for s in nz:
-        u = r_classes[s]
-        t = st.table.table[st.inv[s], u]
-        pi[s] = coords_at[:, u].reshape(dim, -1) @ lift_at[t].reshape(-1, dim)
+    # of s and t = s^-1 u: one batched product over the padded R-class rows
+    t = st.table.table[st.inv[:, None], r_classes]
+    rows = r_classes.shape[1] * n
+    gathered = coords_at[r_classes].reshape(order, rows, width).transpose(0, 2, 1)
+    blocks = gathered @ lift_at[t].reshape(order, rows, width)  # pi(s): H_dom(s) -> H_ran(s)
+    # V x = [identity (x) x] with identity = sum of floor(e) over nonzero idempotents,
+    # so the H_e component of V is the coordinate map of floor(e)
+    v_at = coords_at.transpose(0, 2, 1)
 
-    # V x = [identity (x) x] with identity = sum over nonzero idempotents
-    w_embed = np.zeros((len(nz) * n, n))
-    for e in st.idempotents:
-        w_embed[pos[e] * n : (pos[e] + 1) * n, :] = np.eye(n)
-    v = coords @ w_embed
-
-    phi_identity = f.values[list(st.idempotents)].sum(axis=0)
-    recon = 0.0
-    star = 0.0
+    got = v_at[st.ran].conj().transpose(0, 2, 1) @ blocks @ v_at[st.dom]
+    recon = float(np.abs(got - f.values).max())
+    star = float(np.abs(blocks.conj().transpose(0, 2, 1) - blocks[st.inv]).max(initial=0.0))
+    # pi(s) pi(t) is the zero block by construction unless dom(s) = ran(t),
+    # and then st is nonzero: check pi(s) pi(t) = pi(st) per middle idempotent
     mult = 0.0
-    for s in nz:
-        recon = max(recon, float(np.abs(v.conj().T @ pi[s] @ v - f.values[s]).max()))
-        star = max(star, float(np.abs(pi[s].conj().T - pi[int(st.inv[s])]).max()))
-    for s in nz:
-        for t in nz:
-            if st.dom[s] == st.ran[t]:
-                target = pi[st.mul(s, t)]
-            else:
-                target = 0.0
-            mult = max(mult, float(np.abs(pi[s] @ pi[t] - target).max()))
+    for e, m in zip(st.idempotents, members):
+        d = dims[e]
+        left = np.flatnonzero(st.dom == e)
+        prod = blocks[left][:, None, :, :d] @ blocks[m][None, :, :d, :]
+        target = blocks[st.table.table[left[:, None], m[None, :]]]
+        mult = max(mult, float(np.abs(prod - target).max(initial=0.0)))
+
+    # the dense dilation: summands at offsets in ascending order of e
+    ends = np.cumsum(dims)
+    starts = ends - dims
+    dim = int(ends[-1])
+    v = np.zeros((dim, n), dtype=complex)
+    for e in idem:
+        v[starts[e] : ends[e]] = v_at[e, : dims[e]]
+    pi = np.zeros((order, dim, dim), dtype=complex)
+    for s in st.nonzero:
+        a, b = st.ran[s], st.dom[s]
+        pi[s, starts[a] : ends[a], starts[b] : ends[b]] = blocks[s, : dims[a], : dims[b]]
+
+    phi_identity = f.values[idem].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
     if recon > 1e-6:
         raise ReconstructionFailure(f"dilation reconstruction residual {recon:.3e}")
@@ -308,14 +330,15 @@ class MatrixAlgebraRep:
 
 def rep_residual(rho: MatrixAlgebraRep) -> float:
     """Max deviation from rho(e_ij) rho(e_kl) = delta_jk rho(e_il)."""
+    m, d, mats = rho.m, rho.dim, rho.matrices
+    # every rho(e_kl) side by side: one (d, m^2 d) product per unit e_ij
+    right = mats.transpose(2, 0, 1, 3).reshape(d, m * m * d)
     worst = 0.0
-    for i in range(rho.m):
-        for j in range(rho.m):
-            for k in range(rho.m):
-                for l in range(rho.m):
-                    got = rho.matrices[i, j] @ rho.matrices[k, l]
-                    want = rho.matrices[i, l] if j == k else 0.0
-                    worst = max(worst, float(np.abs(got - want).max()))
+    for i in range(m):
+        for j in range(m):
+            got = (mats[i, j] @ right).reshape(d, m, m, d)
+            got[:, j] -= mats[i].transpose(1, 0, 2)    # k = j: subtract rho(e_il) over l
+            worst = max(worst, float(np.abs(got).max(initial=0.0)))
     return worst
 
 

@@ -336,6 +336,20 @@ class InverseStructure:
         right.setflags(write=False)
         return left, right
 
+    @cached_property
+    def leq_float(self) -> np.ndarray:
+        """``leq`` cast to float once, for the basis changes."""
+        a = self.leq.astype(float)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def mobius_float(self) -> np.ndarray:
+        """``mobius`` cast to float once, for the basis changes."""
+        a = self.mobius.astype(float)
+        a.setflags(write=False)
+        return a
+
     def mul(self, a: int, b: int) -> int:
         return self.table.mul(a, b)
 

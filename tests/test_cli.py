@@ -3,6 +3,8 @@ import json
 import pytest
 
 from semifourier.cli import main
+from semifourier.harmonic import MatrixMap
+from semifourier.jsonio import load_map, save_map
 
 from conftest import SAMPLE_DATA
 
@@ -151,6 +153,16 @@ def test_stinespring_non_pd_reports_in_payload(capsys):
     code, out, _ = run_cli(["stinespring", SAMPLE_DATA / "transpose_m2.json"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["verdict"] == "NotPositiveDefinite"
+
+
+def test_stinespring_empty_quotient_exits_0(tmp_path, capsys):
+    f = load_map(SAMPLE_DATA / "gram_i2_seed0.json")
+    path = tmp_path / "tiny.json"
+    save_map(MatrixMap(f.structure, f.dim, f.basis, 1e-12 * f.values), path)
+    result = run_json(["stinespring", path], capsys)["result"]
+    assert result["verdict"] == "ok"
+    assert result["dilation_dim"] == 0
+    assert result["v"] == [] and all(m == [] for m in result["pi"].values())
 
 
 def test_cpprobe_identity_rep(capsys):

@@ -1,4 +1,4 @@
-"""Table-gather kernels against the pair loops they replaced.
+"""Table-gather and block kernels against the loops they replaced.
 
 Each oracle below walks element pairs in Python, the way the library once
 did.  Kernels that only gather values must match it bitwise; kernels that
@@ -8,14 +8,33 @@ sum products in another order must match it to 1e-12 relative.
 import numpy as np
 import pytest
 
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap
+from semifourier.cxmat import DEFAULT_TOL
+from semifourier.errors import (
+    NotARepresentation,
+    NotPositiveDefinite,
+    ReconstructionFailure,
+    WrongBasis,
+)
+from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, combine, from_groupoid, to_groupoid
 from semifourier.maps import convolve, tensor_lift, tensor_mul
 from semifourier.positivity import (
+    Dilation,
+    MatrixAlgebraRep,
     _pd_matrix_groupoid,
     _pd_matrix_natural,
+    _psd_verdict,
+    conjugation_rep,
+    direct_sum_rep,
     eval_groupoid,
     eval_natural,
     gram_pd_map,
+    identity_rep,
+    random_cp_map,
+    random_unitary,
+    rep_residual,
+    stinespring,
+    transpose_map,
+    verify_rep,
 )
 from semifourier.semigroup import build_matrix_units
 
@@ -92,6 +111,79 @@ def oracle_gram_pd_map(st, n, seed):
     return vals
 
 
+def oracle_stinespring(f, tol=DEFAULT_TOL):
+    """The dense dilation: one eigh of the whole Gram matrix, pi(s) from the
+    R-class of s, and every residual walked over element pairs."""
+    if f.basis != GROUPOID:
+        raise WrongBasis("stinespring expects a groupoid-basis map")
+    st = f.structure
+    n = f.dim
+    nz = list(st.nonzero)
+    pos = {s: i for i, s in enumerate(nz)}
+    gram = _pd_matrix_groupoid(f, nz)
+    ok, lo, defect = _psd_verdict(gram, tol)
+    if not ok:
+        raise NotPositiveDefinite(
+            f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
+        )
+    gram = (gram + gram.conj().T) / 2.0
+    w, u = np.linalg.eigh(gram)
+    norm2 = float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
+    keep = w > tol * max(1.0, norm2)
+    wk = w[keep]
+    uk = u[:, keep]
+    dim = int(keep.sum())
+    coords = np.sqrt(wk)[:, None] * uk.conj().T
+    lift = uk * (1.0 / np.sqrt(wk))[None, :]
+    order = st.table.order
+    coords_at = np.zeros((dim, order, n), dtype=complex)
+    coords_at[:, nz] = coords.reshape(dim, len(nz), n)
+    lift_at = np.zeros((order, n, dim), dtype=complex)
+    lift_at[nz] = lift.reshape(len(nz), n, dim)
+    pi = np.zeros((order, dim, dim), dtype=complex)
+    r_classes = st.groupoid_factors[0]
+    for s in nz:
+        u = r_classes[s]
+        t = st.table.table[st.inv[s], u]
+        pi[s] = coords_at[:, u].reshape(dim, -1) @ lift_at[t].reshape(-1, dim)
+    w_embed = np.zeros((len(nz) * n, n))
+    for e in st.idempotents:
+        w_embed[pos[e] * n : (pos[e] + 1) * n, :] = np.eye(n)
+    v = coords @ w_embed
+    phi_identity = f.values[list(st.idempotents)].sum(axis=0)
+    recon = star = 0.0
+    for s in nz:
+        recon = max(recon, float(np.abs(v.conj().T @ pi[s] @ v - f.values[s]).max()))
+        star = max(star, float(np.abs(pi[s].conj().T - pi[int(st.inv[s])]).max()))
+    mult = oracle_multiplicativity(st, pi)
+    ident = float(np.abs(v.conj().T @ v - phi_identity).max())
+    if recon > 1e-6:
+        raise ReconstructionFailure(f"dilation reconstruction residual {recon:.3e}")
+    return Dilation(dim, v, pi, recon, ident, mult, star)
+
+
+def oracle_multiplicativity(st, pi):
+    """max |pi(s) pi(t) - pi(st)| over all nonzero pairs, with pi(st) = 0 when dom(s) != ran(t)."""
+    mult = 0.0
+    for s in st.nonzero:
+        for t in st.nonzero:
+            target = pi[st.mul(s, t)] if st.dom[s] == st.ran[t] else 0.0
+            mult = max(mult, float(np.abs(pi[s] @ pi[t] - target).max(initial=0.0)))
+    return mult
+
+
+def oracle_rep_residual(rho):
+    worst = 0.0
+    for i in range(rho.m):
+        for j in range(rho.m):
+            for k in range(rho.m):
+                for l in range(rho.m):
+                    got = rho.matrices[i, j] @ rho.matrices[k, l]
+                    want = rho.matrices[i, l] if j == k else 0.0
+                    worst = max(worst, float(np.abs(got - want).max()))
+    return worst
+
+
 # --- convolution and the tensor product -------------------------------------------
 
 @pytest.mark.parametrize("ref,n", CASES)
@@ -151,3 +243,95 @@ def test_matrix_units_table_is_the_unit_rule(m):
 def test_gram_pd_map_matches_dense_left_multiplication(ref, n):
     st = get_structure(ref)
     assert_close(gram_pd_map(st, n, seed=7).values, oracle_gram_pd_map(st, n, 7))
+
+
+# --- basis changes ------------------------------------------------------------------
+
+@pytest.mark.parametrize("ref,n", CASES + [("builtin:symmetric_inverse:4", 2)])
+def test_basis_changes_match_einsum(ref, n):
+    st = get_structure(ref)
+    f = random_map(st, n, 6)
+    vals = f.values
+    leq, mob = st.leq.astype(float), st.mobius.astype(float)
+    assert_close(to_groupoid(f).values, np.einsum("st,tij->sij", leq, vals))
+    g = MatrixMap(st, n, GROUPOID, vals)
+    assert_close(from_groupoid(g).values, np.einsum("st,tij->sij", mob, vals))
+    assert_close(eval_natural(g), np.einsum("ts,tij->sij", leq, vals))
+    assert_close(eval_groupoid(f), np.einsum("ts,tij->sij", mob, vals))
+    assert_close(combine(st.leq_float.T, vals), np.einsum("ts,tij->sij", leq, vals))
+
+
+# --- Stinespring dilation, block by block ------------------------------------------
+
+DILATION_REFS = ("builtin:symmetric_inverse:2", "builtin:symmetric_inverse:3") + tuple(
+    f"builtin:matrix_units:{m}" for m in range(2, 9)
+)
+
+
+def dilation_cases():
+    """Gram maps, and Kraus maps of every rank up to matrix_units:5.
+
+    The dense oracles cost |S|^2 dim^3 (dim = m * rank), so from m = 6 on only
+    the extreme ranks 1 and m run.
+    """
+    for ref in DILATION_REFS:
+        st = get_structure(ref)
+        m = round((st.table.order - 1) ** 0.5) if "matrix_units" in ref else 0
+        ranks = range(1, m + 1) if m <= 5 else (1, m)
+        for n in (1, 2):
+            yield ref, n, "gram"
+            for rank in ranks:
+                yield ref, n, rank
+
+
+def dilation_input(ref, n, kind):
+    st = get_structure(ref)
+    if kind == "gram":
+        return gram_pd_map(st, n, seed=3)
+    m = round((st.table.order - 1) ** 0.5)
+    return to_groupoid(random_cp_map(m, n, kraus_count=kind, seed=3, structure=st))
+
+
+@pytest.mark.parametrize("ref,n,kind", list(dilation_cases()))
+def test_stinespring_blocks_match_dense_oracle(ref, n, kind):
+    f = dilation_input(ref, n, kind)
+    st = f.structure
+    dil = stinespring(f)
+    want = oracle_stinespring(f)
+    assert dil.dim == want.dim
+    assert dil.v.shape == (dil.dim, n) and dil.pi.shape == (st.table.order, dil.dim, dil.dim)
+    assert oracle_multiplicativity(st, dil.pi) <= 1e-10
+    assert dil.multiplicativity_residual <= 1e-10 and dil.star_residual <= 1e-10
+    for s in st.nonzero:
+        assert np.abs(dil.v.conj().T @ dil.pi[s] @ dil.v - f.values[s]).max() <= 1e-8
+        # pi(s) lives in the single block (ran s, dom s)
+        assert np.abs(dil.pi[s].conj().T - dil.pi[st.inv[s]]).max() <= 1e-10
+    assert dil.reconstruction_residual <= 1e-8
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_stinespring_blocks_reject_transpose(m):
+    st = get_structure(f"builtin:matrix_units:{m}")
+    f = MatrixMap(st, m, GROUPOID, transpose_map(m, st).values)
+    with pytest.raises(NotPositiveDefinite):
+        oracle_stinespring(f)
+    with pytest.raises(NotPositiveDefinite):
+        stinespring(f)
+
+
+# --- representations of M_m ---------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rep_residual_matches_loop(m):
+    reps = [identity_rep(m), conjugation_rep(random_unitary(m, seed=m)), direct_sum_rep(m, 2, 1)]
+    for rho in reps:
+        got = rep_residual(rho)
+        assert abs(got - oracle_rep_residual(rho)) <= 1e-12
+        assert got <= 1e-12
+    rng = np.random.default_rng([m, 31])
+    mats = conjugation_rep(random_unitary(m, seed=m)).matrices.copy()
+    mats[m - 1, 0] += 1e-3 * rng.standard_normal((m, m))
+    bad = MatrixAlgebraRep(m, m, mats)
+    assert rep_residual(bad) == pytest.approx(oracle_rep_residual(bad), abs=1e-12)
+    with pytest.raises(NotARepresentation):
+        verify_rep(bad)

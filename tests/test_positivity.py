@@ -173,6 +173,18 @@ def test_stinespring_requires_groupoid_basis(i2):
         stinespring(random_map(i2, 2, seed=0))
 
 
+def test_stinespring_empty_quotient(i2):
+    # every Gram eigenvalue falls under the keep threshold: a 0-dimensional
+    # dilation whose reconstruction residual is the size of the map itself
+    g = gram_pd_map(i2, 2, seed=0)
+    tiny = MatrixMap(i2, 2, GROUPOID, 1e-12 * g.values)
+    dil = stinespring(tiny)
+    assert dil.dim == 0
+    assert dil.v.shape == (0, 2) and dil.pi.shape == (i2.table.order, 0, 0)
+    assert dil.reconstruction_residual == pytest.approx(np.abs(tiny.values).max(), rel=1e-12)
+    assert dil.multiplicativity_residual == 0.0 and dil.star_residual == 0.0
+
+
 def test_stinespring_identity_element_value(i2):
     g = gram_pd_map(i2, 2, seed=5)
     dil = stinespring(g)
