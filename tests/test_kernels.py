@@ -304,7 +304,6 @@ def test_stinespring_blocks_match_dense_oracle(ref, n, kind):
     assert dil.multiplicativity_residual <= 1e-10 and dil.star_residual <= 1e-10
     for s in st.nonzero:
         assert np.abs(dil.v.conj().T @ dil.pi[s] @ dil.v - f.values[s]).max() <= 1e-8
-        # pi(s) lives in the single block (ran s, dom s)
         assert np.abs(dil.pi[s].conj().T - dil.pi[st.inv[s]]).max() <= 1e-10
     assert dil.reconstruction_residual <= 1e-8
 
