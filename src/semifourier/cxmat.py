@@ -78,12 +78,41 @@ def hermitian_defect(a) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+def hermitized(a: np.ndarray) -> np.ndarray:
+    """(a + a^dagger) / 2 of a square matrix, or of each matrix in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None) -> tuple[bool, float, float, float]:
+    """PSD verdict of the block-diagonal matrix with these diagonal blocks.
+
+    Each entry of ``blocks`` is a square matrix or a stack (k, m, m) of them;
+    ``spectra`` holds the ascending eigenvalues of each Hermitized entry and
+    is computed when omitted.  Off the blocks the matrix is zero, so its min
+    eigenvalue, ||.||_2, hermitian defect and scale are the block-wise min /
+    max of the same quantities.  A non-Hermitian matrix is simply not PSD:
+    the verdict needs defect <= tol * max(1, max-abs entry) and min
+    eigenvalue >= -tol * max(1, ||.||_2).  This is the library's one PSD
+    verdict.  Returns (verdict, min eigenvalue, hermitian defect, ||.||_2).
+    """
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise ValueError("matrix entries must be finite")
+    if spectra is None:
+        spectra = [np.linalg.eigvalsh(hermitized(b)) for b in blocks]
+    full = [(b, w) for b, w in zip(blocks, spectra) if b.size]
+    defect = max((float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b, _ in full), default=0.0)
+    scale = max([1.0] + [float(np.abs(b).max()) for b, _ in full])
+    lo = min((float(w[..., 0].min()) for _, w in full), default=0.0)
+    norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for _, w in full), default=0.0)
+    return defect <= tol * scale and lo >= -tol * max(1.0, norm2), lo, defect, norm2
+
+
+def _require_hermitian(a: np.ndarray, tol: float) -> None:
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
     defect = hermitian_defect(a)
     if defect > tol * scale:
         raise NotHermitian(f"hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return (a + a.conj().T) / 2.0
 
 
 def min_eigenvalue_hermitian(a, tol: float = DEFAULT_TOL) -> float:
@@ -93,10 +122,8 @@ def min_eigenvalue_hermitian(a, tol: float = DEFAULT_TOL) -> float:
     tol * max(1, max-abs entry).
     """
     m = as_cmatrix(a)
-    h = _require_hermitian(m, tol)
-    if h.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(h)[0])
+    _require_hermitian(m, tol)
+    return psd_verdict([m], tol)[1]
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -104,15 +131,13 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
     Returns (verdict, witness) where witness is the smallest eigenvalue of
     the Hermitized matrix and the verdict is ``witness >= -tol * max(1, ||a||_2)``.
+    Raises NotHermitian when the hermitian defect exceeds tol * max(1,
+    max-abs entry); past that check the verdict is ``psd_verdict``'s.
     """
     m = as_cmatrix(a)
-    h = _require_hermitian(m, tol)
-    if h.size == 0:
-        return True, 0.0
-    w = np.linalg.eigvalsh(h)
-    lo = float(w[0])
-    norm2 = float(max(abs(w[0]), abs(w[-1])))
-    return lo >= -tol * max(1.0, norm2), lo
+    _require_hermitian(m, tol)
+    ok, lo, _, _ = psd_verdict([m], tol)
+    return ok, lo
 
 
 def frobenius(a) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import DEFAULT_TOL, BlockTensor, hermitian_defect
+from .cxmat import DEFAULT_TOL, BlockTensor, psd_verdict
 from .errors import (
     DimensionMismatch,
     IncompleteIrrepSet,
@@ -211,18 +211,6 @@ def group_plancherel_check(
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))
 
 
-def _psd_verdict(mat: np.ndarray, tol: float) -> tuple[bool, float, float]:
-    """PSD test tolerant of non-Hermitian input: (verdict, min eig, herm defect)."""
-    defect = hermitian_defect(mat)
-    scale = max(1.0, float(np.abs(mat).max())) if mat.size else 1.0
-    h = (mat + mat.conj().T) / 2.0
-    w = np.linalg.eigvalsh(h) if h.size else np.zeros(1)
-    lo = float(w[0])
-    norm2 = float(max(abs(w[0]), abs(w[-1]))) if h.size else 0.0
-    ok = defect <= tol * scale and lo >= -tol * max(1.0, norm2)
-    return ok, lo, defect
-
-
 def group_pd_matrix(f: GroupMatrixMap) -> np.ndarray:
     """The |G|n x |G|n block matrix with (g, g') block f(g^-1 g')."""
     group = f.group
@@ -239,7 +227,7 @@ def group_pd_matrix(f: GroupMatrixMap) -> np.ndarray:
 
 def group_pd_check(f: GroupMatrixMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Positive-definiteness of the map: PSD test of the big block matrix."""
-    ok, lo, _ = _psd_verdict(group_pd_matrix(f), tol)
+    ok, lo, _, _ = psd_verdict([group_pd_matrix(f)], tol)
     return ok, lo
 
 
@@ -263,13 +251,13 @@ def group_bochner_check(
     if sum(r.dim * r.dim for r in reps) != f.group.order:
         raise IncompleteIrrepSet("sum of squared dimensions differs from |G|")
     big = group_pd_matrix(f)
-    pd_ok, pd_lo, pd_defect = _psd_verdict(big, tol)
+    pd_ok, pd_lo, pd_defect, _ = psd_verdict([big], tol)
     per = []
     ft_ok = True
     ft_lo = np.inf
     for i, rep in enumerate(reps):
         t = group_fourier(f, rep).matrix
-        ok, lo, _ = _psd_verdict(t, tol)
+        ok, lo, _, _ = psd_verdict([t], tol)
         per.append((i, ok, lo))
         ft_ok = ft_ok and ok
         ft_lo = min(ft_lo, lo)

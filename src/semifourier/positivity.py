@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import DEFAULT_TOL, BlockTensor, hermitian_defect
+from .cxmat import DEFAULT_TOL, BlockTensor, hermitized, psd_verdict
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -41,34 +41,6 @@ from .semigroup import InverseStructure, build_matrix_units
 PD_MODES = ("natural", "groupoid", "blocks")
 
 
-def _psd_verdict(mat: np.ndarray, tol: float) -> tuple[bool, float, float]:
-    """PSD verdict tolerant of non-Hermitian input.
-
-    Non-Hermitian matrices are simply not positive semidefinite; the verdict
-    carries the min eigenvalue of the Hermitization and the hermitian defect.
-    """
-    if mat.size == 0:
-        return True, 0.0, 0.0
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    ok, lo, defect, _ = _block_verdict([mat], [w], tol)
-    return ok, lo, defect
-
-
-def _block_verdict(blocks, spectra, tol: float) -> tuple[bool, float, float, float]:
-    """PSD verdict of the block-diagonal matrix with these diagonal blocks.
-
-    ``spectra`` holds the ascending eigenvalues of each Hermitized block.  Off
-    the blocks the matrix is zero, so its min eigenvalue, ||.||_2, hermitian
-    defect and scale are the block-wise min / max of the same quantities.
-    Returns (verdict, min eigenvalue, hermitian defect, ||.||_2).
-    """
-    defect = max((hermitian_defect(b) for b in blocks), default=0.0)
-    scale = max([1.0] + [float(np.abs(b).max()) for b in blocks if b.size])
-    lo = min((float(w[0]) for w in spectra if w.size), default=0.0)
-    norm2 = max((float(max(abs(w[0]), abs(w[-1]))) for w in spectra if w.size), default=0.0)
-    return defect <= tol * scale and lo >= -tol * max(1.0, norm2), lo, defect, norm2
-
-
 # --- evaluation of the stored linear map on either basis --------------------
 
 def eval_natural(f: MatrixMap) -> np.ndarray:
@@ -90,9 +62,9 @@ def eval_groupoid(f: MatrixMap) -> np.ndarray:
 
 
 def _block_matrix(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The square block matrix whose (a, b) block is vals[idx[a, b]], in one gather."""
-    p, n = len(idx), vals.shape[-1]
-    return vals[idx].transpose(0, 2, 1, 3).reshape(p * n, p * n)
+    """The square block matrices whose (a, b) block is vals[idx[..., a, b]], in one gather."""
+    p, n = idx.shape[-1], vals.shape[-1]
+    return vals[idx].swapaxes(-3, -2).reshape(idx.shape[:-2] + (p * n, p * n))
 
 
 def _pd_matrix_natural(f: MatrixMap) -> np.ndarray:
@@ -101,13 +73,26 @@ def _pd_matrix_natural(f: MatrixMap) -> np.ndarray:
     return _block_matrix(eval_natural(f), st.table.table[st.inv[e][:, None], e[None, :]])
 
 
-def _pd_matrix_groupoid(f: MatrixMap, elements) -> np.ndarray:
+def _r_class_grams(f: MatrixMap, idempotents) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks [Lambda(floor(s^-1) floor(t))] over the R-classes {s : ran s = e}.
+
+    floor(s^-1) floor(t) = floor(s^-1 t) if ran s = ran t and 0 otherwise, so
+    the groupoid PD matrix is block diagonal over these R-classes.  The R-class
+    of e is the row of e in the padded ``groupoid_factors[0]``; the classes of
+    one size are gathered in one stack.  Returns, per size, the idempotents
+    and the stack (len(idempotents), size * n, size * n) of their blocks.
+    """
     st = f.structure
-    e = np.asarray(elements)
-    # floor(s^-1) floor(t) = floor(s^-1 t) iff ran(s) = ran(t); other blocks read z's zero slot
-    same_ran = st.ran[e][:, None] == st.ran[e][None, :]
-    idx = np.where(same_ran, st.table.table[st.inv[e][:, None], e[None, :]], st.zero)
-    return _block_matrix(eval_groupoid(f), idx)
+    idem = np.asarray(idempotents, dtype=np.intp)
+    rows = st.groupoid_factors[0][idem]
+    sizes = (rows != st.zero).sum(axis=1)
+    vals = eval_groupoid(f)
+    out = []
+    for size in np.unique(sizes):
+        m = rows[sizes == size, :size]
+        idx = st.table.table[st.inv[m][:, :, None], m[:, None, :]]
+        out.append((idem[sizes == size], _block_matrix(vals, idx)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,29 +109,37 @@ class PDSlice:
 def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> PDSlice:
     """Positive-definiteness of the linear map f denotes, one mode at a time.
 
-    natural: PSD test of [Lambda(s^-1 s')]; groupoid: of
-    [Lambda(floor(s^-1) floor(s'))]; blocks: the groupoid matrix restricted
-    to each D-class separately (it is block diagonal across classes).
+    natural: PSD test of [Lambda(s^-1 s')], one dense eigensolve.  It is the
+    definition's own check and stays dense on purpose: a congruence with the
+    groupoid matrix would keep its verdict but not its witness.
+    groupoid: PSD test of [Lambda(floor(s^-1) floor(s'))].  That matrix is
+    block diagonal over the R-classes {s : ran s = e}, so it is judged one
+    R-class block at a time; the verdict, witness and defect are those of
+    the whole matrix.
+    blocks: the groupoid matrix restricted to each D-class separately (it is
+    block diagonal across classes).  The R-blocks of one D-class are one
+    matrix up to a permutation, since s -> p s keeps s^-1 s', so each class
+    is judged by the R-block of its base idempotent alone.
     """
     if mode not in PD_MODES:
         raise ValueError(f"unknown pd mode {mode!r}")
     st = f.structure
     if mode == "natural":
-        ok, lo, defect = _psd_verdict(_pd_matrix_natural(f), tol)
+        ok, lo, defect, _ = psd_verdict([_pd_matrix_natural(f)], tol)
         return PDSlice(mode, ok, lo, defect)
     if mode == "groupoid":
-        ok, lo, defect = _psd_verdict(_pd_matrix_groupoid(f, st.nonzero), tol)
+        ok, lo, defect, _ = psd_verdict([g for _, g in _r_class_grams(f, st.idempotents)], tol)
         return PDSlice(mode, ok, lo, defect)
     per = []
-    verdict = True
-    worst = np.inf
     worst_defect = 0.0
-    for k, cls in enumerate(st.dclasses):
-        ok, lo, defect = _psd_verdict(_pd_matrix_groupoid(f, cls), tol)
-        per.append((k, ok, lo))
-        verdict = verdict and ok
-        worst = min(worst, lo)
-        worst_defect = max(worst_defect, defect)
+    for es, grams in _r_class_grams(f, st.base_idempotents):
+        for e, g, w in zip(es, grams, np.linalg.eigvalsh(hermitized(grams))):
+            ok, lo, defect, _ = psd_verdict([g], tol, [w])
+            per.append((int(st.class_of[e]), ok, lo))
+            worst_defect = max(worst_defect, defect)
+    per.sort()
+    verdict = all(ok for _, ok, _ in per)
+    worst = min((lo for _, _, lo in per), default=np.inf)
     return PDSlice(mode, verdict, float(worst), worst_defect, tuple(per))
 
 
@@ -186,7 +179,7 @@ def bochner_check(
     worst = np.inf
     for rep in reps:
         t = fourier(f, rep).matrix
-        ok, lo, _ = _psd_verdict(t, tol)
+        ok, lo, _, _ = psd_verdict([t], tol)
         per.append((rep.irrep_id, ok, lo))
         all_ok = all_ok and ok
         worst = min(worst, lo)
@@ -235,13 +228,17 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     n, order = f.dim, st.table.order
     r_classes = st.groupoid_factors[0]
     members = [r_classes[e][r_classes[e] != st.zero] for e in st.idempotents]
-    grams = [_pd_matrix_groupoid(f, m) for m in members]
-    eigs = [np.linalg.eigh((g + g.conj().T) / 2.0) for g in grams]
-    ok, lo, defect, norm2 = _block_verdict(grams, [w for w, _ in eigs], tol)
+    grams = _r_class_grams(f, st.idempotents)
+    stacked = [np.linalg.eigh(hermitized(g)) for _, g in grams]
+    ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [w for w, _ in stacked])
     if not ok:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
+    eig_at = {}                                          # idempotent e -> eigh of G_e
+    for (es, _), (w, u) in zip(grams, stacked):
+        eig_at.update(zip(es.tolist(), zip(w, u)))
+    eigs = [eig_at[e] for e in st.idempotents]
     keep = [w > tol * max(1.0, norm2) for w, _ in eigs]
     idem = np.array(st.idempotents, dtype=np.intp)
     dims = np.zeros(order, dtype=int)                    # d_e at each idempotent e
@@ -294,8 +291,12 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
 
     phi_identity = f.values[idem].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
-    if recon > 1e-6:
-        raise ReconstructionFailure(f"dilation reconstruction residual {recon:.3e}")
+    # judged relative to the map's largest entry, so the bound is 1e-6 up to unit scale
+    bound = 1e-6 * max(1.0, float(np.abs(f.values).max()))
+    if recon > bound:
+        raise ReconstructionFailure(
+            f"dilation reconstruction residual {recon:.3e} exceeds {bound:.3e}"
+        )
     return Dilation(dim, v, pi, recon, ident, mult, star)
 
 
@@ -304,7 +305,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
 def cp_check(f: MatrixMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Choi criterion: the map is CP iff its Choi matrix is PSD."""
     c = choi(f)  # raises WrongSemigroup off matrix units
-    ok, lo, _ = _psd_verdict(c.matrix, tol)
+    ok, lo, _, _ = psd_verdict([c.matrix], tol)
     return ok, lo
 
 
@@ -438,7 +439,7 @@ def cp_correspondence_probe(
     for trial in range(trials):
         kind = kinds[trial % len(kinds)]
         f = _probe_map(structure, m, n, kind, seed, trial)
-        ft_ok, ft_lo, _ = _psd_verdict(rep_fourier(rho, f).matrix, tol)
+        ft_ok, ft_lo, _, _ = psd_verdict([rep_fourier(rho, f).matrix], tol)
         cp_ok, cp_lo = cp_check(f, tol)
         if ft_ok == cp_ok:
             agreements += 1

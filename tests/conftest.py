@@ -1,12 +1,23 @@
 """Shared cached structures and irrep families for the test suite."""
 
+import ctypes
+import glob
+import os
 from functools import lru_cache
 from pathlib import Path
 
-import pytest
+# One BLAS thread, set before numpy is first imported: the dense oracles
+# multiply and eigensolve matrices of a few hundred rows, where a second
+# OpenBLAS thread gains nothing and stalls the suite whenever another
+# process holds a core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from semifourier.harmonic import induced_irreps
-from semifourier.semigroup import from_builtin, inverse_structure
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from semifourier.harmonic import induced_irreps  # noqa: E402
+from semifourier.semigroup import from_builtin, inverse_structure  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_DATA = REPO_ROOT / "sample_data"
@@ -48,3 +59,16 @@ def i2():
 @pytest.fixture
 def i3():
     return get_structure("builtin:symmetric_inverse:3")
+
+
+def openblas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS (queried, not assumed), or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    for lib in libs:
+        try:
+            fn = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        fn.restype = ctypes.c_int
+        return fn()
+    return None

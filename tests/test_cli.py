@@ -165,6 +165,18 @@ def test_stinespring_empty_quotient_exits_0(tmp_path, capsys):
     assert result["v"] == [] and all(m == [] for m in result["pi"].values())
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e12])
+def test_stinespring_large_scale_exits_0(tmp_path, capsys, scale):
+    f = load_map(SAMPLE_DATA / "gram_i2_seed0.json")
+    path = tmp_path / "big.json"
+    save_map(MatrixMap(f.structure, f.dim, f.basis, scale * f.values), path)
+    result = run_json(["stinespring", path], capsys)["result"]
+    unscaled = run_json(["stinespring", SAMPLE_DATA / "gram_i2_seed0.json"], capsys)["result"]
+    assert result["verdict"] == "ok"
+    assert result["dilation_dim"] == unscaled["dilation_dim"]
+    assert result["residuals"]["reconstruction"] <= 1e-8 * scale * abs(f.values).max()
+
+
 def test_cpprobe_identity_rep(capsys):
     result = run_json(
         ["cpprobe", SAMPLE_DATA / "identity_rep_m2.json", "--trials", "40"], capsys

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,11 @@ from semifourier.cxmat import (
     kron,
     min_eigenvalue_hermitian,
     partial_trace_left,
+    psd_verdict,
 )
 from semifourier.errors import DimensionMismatch, NotHermitian
+
+from conftest import openblas_threads
 
 I2 = np.eye(2)
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -140,6 +145,45 @@ def test_is_psd_gram_matrices():
         m = rand(rng, rows, cols)
         ok, _ = is_psd(m.conj().T @ m)
         assert ok
+
+
+def test_psd_verdict_of_blocks_is_that_of_the_block_diagonal_matrix():
+    rng = np.random.default_rng(8)
+    singles = [rand(rng, 3, 3), rand(rng, 1, 1)]
+    stack = np.stack([b.conj().T @ b for b in (rand(rng, 2, 4) for _ in range(3))])
+    blocks = singles + [stack]
+    whole = np.zeros((16, 16), dtype=complex)
+    at = 0
+    for b in singles + list(stack):
+        whole[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    ok, lo, defect, norm2 = psd_verdict(blocks)
+    want_ok, want_lo, want_defect, want_norm2 = psd_verdict([whole])
+    assert (ok, defect) == (want_ok, want_defect) == (False, hermitian_defect(whole))
+    assert lo == pytest.approx(want_lo, abs=1e-12)
+    assert norm2 == pytest.approx(want_norm2, abs=1e-12)
+    assert psd_verdict([stack])[0] and psd_verdict([]) == (True, 0.0, 0.0, 0.0)
+
+
+def test_psd_verdict_rejects_non_hermitian_without_raising():
+    ok, lo, defect, _ = psd_verdict([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    assert not ok and defect == 1.0 and lo == pytest.approx(-0.5)
+
+
+def test_is_psd_agrees_with_psd_verdict():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        h = rand(rng, 4, 4)
+        h = h + h.conj().T
+        assert is_psd(h) == psd_verdict([h])[:2]
+
+
+def test_blas_runs_on_the_pinned_thread_count():
+    # conftest pins the thread count before numpy is imported; ask OpenBLAS
+    threads = openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against its bundled OpenBLAS")
+    assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
 def test_block_tensor_shape_guard():

@@ -1,14 +1,17 @@
 """Table-gather and block kernels against the loops they replaced.
 
-Each oracle below walks element pairs in Python, the way the library once
-did.  Kernels that only gather values must match it bitwise; kernels that
-sum products in another order must match it to 1e-12 relative.
+Each oracle below walks element pairs in Python, or works on the whole
+dense matrix, the way the library once did.  Kernels that only gather values
+must match it bitwise; kernels that sum products in another order, or solve
+for eigenvalues block by block, must match it to 1e-12 relative.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from semifourier.cxmat import DEFAULT_TOL
+from semifourier.cxmat import DEFAULT_TOL, hermitized
 from semifourier.errors import (
     NotARepresentation,
     NotPositiveDefinite,
@@ -20,15 +23,17 @@ from semifourier.maps import convolve, tensor_lift, tensor_mul
 from semifourier.positivity import (
     Dilation,
     MatrixAlgebraRep,
-    _pd_matrix_groupoid,
+    _block_matrix,
     _pd_matrix_natural,
-    _psd_verdict,
+    _r_class_grams,
+    bochner_check,
     conjugation_rep,
     direct_sum_rep,
     eval_groupoid,
     eval_natural,
     gram_pd_map,
     identity_rep,
+    pd_check,
     random_cp_map,
     random_unitary,
     rep_residual,
@@ -38,7 +43,7 @@ from semifourier.positivity import (
 )
 from semifourier.semigroup import build_matrix_units
 
-from conftest import get_structure
+from conftest import BUILTINS, get_irreps, get_structure
 
 REFS = (
     "builtin:symmetric_inverse:2",
@@ -94,6 +99,27 @@ def oracle_pd_groupoid(st, vals, elements):
     return big
 
 
+def pd_matrix_groupoid(f, elements):
+    """The dense groupoid PD matrix over these elements, in one masked gather."""
+    st = f.structure
+    e = np.asarray(elements)
+    # floor(s^-1) floor(t) = floor(s^-1 t) iff ran(s) = ran(t); other blocks read z's zero slot
+    same_ran = st.ran[e][:, None] == st.ran[e][None, :]
+    idx = np.where(same_ran, st.table.table[st.inv[e][:, None], e[None, :]], st.zero)
+    return _block_matrix(eval_groupoid(f), idx)
+
+
+def oracle_verdict(mat, tol=DEFAULT_TOL):
+    """(verdict, min eigenvalue, hermitian defect, ||.||_2) of one dense matrix, one eigvalsh."""
+    if not mat.size:
+        return True, 0.0, 0.0, 0.0
+    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    defect = float(np.abs(mat - mat.conj().T).max())
+    scale = max(1.0, float(np.abs(mat).max()))
+    norm2 = float(max(abs(w[0]), abs(w[-1])))
+    return defect <= tol * scale and w[0] >= -tol * max(1.0, norm2), float(w[0]), defect, norm2
+
+
 def oracle_gram_pd_map(st, n, seed):
     """V^dagger L_s V with L_s the dense 0/1 left multiplication on the groupoid basis."""
     rng = np.random.default_rng([seed, st.table.order, n, 13])
@@ -120,8 +146,8 @@ def oracle_stinespring(f, tol=DEFAULT_TOL):
     n = f.dim
     nz = list(st.nonzero)
     pos = {s: i for i, s in enumerate(nz)}
-    gram = _pd_matrix_groupoid(f, nz)
-    ok, lo, defect = _psd_verdict(gram, tol)
+    gram = pd_matrix_groupoid(f, nz)
+    ok, lo, defect, _ = oracle_verdict(gram, tol)
     if not ok:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
@@ -210,12 +236,86 @@ def test_pd_matrices_equal_loop_assembly_bitwise(ref, n, basis):
     f = random_map(st, n, 5, basis)
     assert np.array_equal(_pd_matrix_natural(f), oracle_pd_natural(st, eval_natural(f)))
     assert np.array_equal(
-        _pd_matrix_groupoid(f, st.nonzero), oracle_pd_groupoid(st, eval_groupoid(f), st.nonzero)
+        pd_matrix_groupoid(f, st.nonzero), oracle_pd_groupoid(st, eval_groupoid(f), st.nonzero)
     )
     for cls in st.dclasses:
         assert np.array_equal(
-            _pd_matrix_groupoid(f, cls), oracle_pd_groupoid(st, eval_groupoid(f), cls)
+            pd_matrix_groupoid(f, cls), oracle_pd_groupoid(st, eval_groupoid(f), cls)
         )
+
+
+@pytest.mark.parametrize("ref,n", CASES)
+@pytest.mark.parametrize("basis", [NATURAL, GROUPOID])
+def test_r_class_grams_are_the_diagonal_blocks_bitwise(ref, n, basis):
+    st = get_structure(ref)
+    f = random_map(st, n, 5, basis)
+    seen = []
+    for es, grams in _r_class_grams(f, st.idempotents):
+        for e, g in zip(es, grams):
+            r_class = np.flatnonzero(st.ran == e)
+            assert np.array_equal(g, oracle_pd_groupoid(st, eval_groupoid(f), r_class))
+            seen.append(int(e))
+    assert sorted(seen) == list(st.idempotents)
+
+
+# --- PD verdicts, one R-class block at a time -------------------------------------------
+
+PD_REFS = BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14")
+
+
+def pd_input(ref, n, kind):
+    st = get_structure(ref)
+    return gram_pd_map(st, n, seed=4) if kind == "gram" else random_map(st, n, 8)
+
+
+@pytest.mark.parametrize("kind", ["random", "gram"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ref", PD_REFS)
+def test_pd_blocks_match_dense_oracle(ref, n, kind):
+    f = pd_input(ref, n, kind)
+    st = f.structure
+    ok, lo, defect, norm2 = oracle_verdict(pd_matrix_groupoid(f, st.nonzero))
+    got = pd_check(f, "groupoid")
+    assert (got.verdict, got.hermitian_defect) == (ok, defect)
+    assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
+
+    # one R-block per D-class stands for the whole class matrix
+    want = [oracle_verdict(pd_matrix_groupoid(f, cls)) for cls in st.dclasses]
+    got = pd_check(f, "blocks")
+    assert [(k, ok) for k, ok, _ in got.per_class] == [(k, w[0]) for k, w in enumerate(want)]
+    for (_, _, lo), (_, want_lo, _, want_norm2) in zip(got.per_class, want):
+        assert abs(lo - want_lo) <= 1e-12 * max(1.0, want_norm2)
+    assert got.verdict == all(w[0] for w in want)
+    assert got.hermitian_defect == max(w[2] for w in want)
+    assert got.witness == min(lo for _, _, lo in got.per_class)
+
+    # Bochner judges the groupoid-side map with the block-wise groupoid mode
+    tilde = f if f.basis == GROUPOID else to_groupoid(f)
+    assert bochner_check(f, get_irreps(ref)).pd == pd_check(tilde, "groupoid")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ref=hst.sampled_from(PD_REFS[:-1]),
+    n=hst.integers(1, 2),
+    seed=hst.integers(0, 2**16),
+    basis=hst.sampled_from([NATURAL, GROUPOID]),
+)
+def test_r_blocks_of_a_dclass_share_the_base_spectrum(ref, n, seed, basis):
+    st = get_structure(ref)
+    f = random_map(st, n, seed, basis)
+    block_at = {}
+    for es, grams in _r_class_grams(f, st.idempotents):
+        block_at.update(zip(es.tolist(), grams))
+    # the R-classes partition the nonzero elements
+    assert sum(len(g) for g in block_at.values()) == len(st.nonzero) * n
+    for k, base in enumerate(st.base_idempotents):
+        spectrum = np.linalg.eigvalsh(hermitized(block_at[base]))
+        for e in st.class_idempotents(k):
+            g = block_at[e]
+            # s -> p s keeps s^-1 t: the same entries, permuted
+            assert np.array_equal(np.sort(g, axis=None), np.sort(block_at[base], axis=None))
+            assert_close(np.linalg.eigvalsh(hermitized(g)), spectrum)
 
 
 # --- the matrix-unit table ----------------------------------------------------------

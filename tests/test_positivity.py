@@ -185,6 +185,18 @@ def test_stinespring_empty_quotient(i2):
     assert dil.multiplicativity_residual == 0.0 and dil.star_residual == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e12])
+def test_stinespring_large_scale(i2, scale):
+    # above unit scale the reconstruction residual is judged against the
+    # map's largest entry, so a PD map times a large c still dilates
+    g = gram_pd_map(i2, 2, seed=0)
+    big = MatrixMap(i2, 2, GROUPOID, scale * g.values)
+    dil = stinespring(big)
+    assert dil.dim == stinespring(g).dim
+    assert dil.reconstruction_residual <= 1e-8 * np.abs(big.values).max()
+    assert dil.multiplicativity_residual <= 1e-10 and dil.star_residual <= 1e-10
+
+
 def test_stinespring_identity_element_value(i2):
     g = gram_pd_map(i2, 2, seed=5)
     dil = stinespring(g)
