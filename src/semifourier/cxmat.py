@@ -70,6 +70,12 @@ def partial_trace_right(t: BlockTensor) -> np.ndarray:
     return np.einsum("akbk->ab", t.reshaped())
 
 
+def block_matrix(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The square block matrices whose (a, b) block is vals[idx[..., a, b]], in one gather."""
+    p, n = idx.shape[-1], vals.shape[-1]
+    return vals[idx].swapaxes(-3, -2).reshape(idx.shape[:-2] + (p * n, p * n))
+
+
 def hermitian_defect(a) -> float:
     """Max-abs deviation of ``a`` from its own conjugate transpose."""
     m = as_cmatrix(a)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import DEFAULT_TOL, BlockTensor, psd_verdict
+from .cxmat import DEFAULT_TOL, BlockTensor, block_matrix, psd_verdict
 from .errors import (
     DimensionMismatch,
     IncompleteIrrepSet,
@@ -97,16 +97,14 @@ def _char_key(chars: np.ndarray) -> tuple:
 
 
 def _verify_rep(group: GroupTable, mats: np.ndarray, tol: float) -> None:
-    d = mats.shape[1]
-    eye = np.eye(d)
+    eye = np.eye(mats.shape[1])
     if np.abs(mats[group.identity] - eye).max() > tol:
         raise _SplitFailed("identity matrix is off")
-    for g in range(group.order):
-        if np.abs(mats[g] @ mats[g].conj().T - eye).max() > tol:
-            raise _SplitFailed("non-unitary representation matrix")
-        for h in range(group.order):
-            if np.abs(mats[g] @ mats[h] - mats[group.table[g, h]]).max() > tol:
-                raise _SplitFailed("representation is not multiplicative")
+    if np.abs(mats @ mats.conj().swapaxes(-1, -2) - eye).max() > tol:
+        raise _SplitFailed("non-unitary representation matrix")
+    # every product rho(g) rho(h) against rho(gh), in one batched product
+    if np.abs(mats[:, None] @ mats[None, :] - mats[group.table]).max() > tol:
+        raise _SplitFailed("representation is not multiplicative")
 
 
 def unitary_irreps(group: GroupTable, seed: int = 0) -> list[GroupRep]:
@@ -142,6 +140,30 @@ def unitary_irreps(group: GroupTable, seed: int = 0) -> list[GroupRep]:
         except _SplitFailed as exc:
             last = exc
     raise NonConvergent(f"irrep generation failed after {_MAX_ATTEMPTS} attempts: {last}")
+
+
+def isotypic_bases(reps: list[GroupRep], perms: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+    """(d_rho, Q_rho) per unitary irrep rho, for a permutation action of the group.
+
+    Row g of ``perms`` sends point i to perms[g, i], and Pi_g is the matrix
+    with Pi_g e_i = e_perms[g, i].  Q_rho is an orthonormal basis of the range of the projection
+    E_11 = (d_rho/|G|) sum_g conj(rho(g)_11) Pi_g, whose rank m_rho is the
+    multiplicity of rho, so sum_rho d_rho m_rho is the number of points.  By
+    Schur's lemma a matrix M that commutes with every Pi_g is unitarily
+    equivalent to the direct sum of Q_rho^dagger M Q_rho (x) I_(d_rho).
+    """
+    order, p = perms.shape
+    cols = np.broadcast_to(np.arange(p), perms.shape)
+    out = []
+    for rep in reps:
+        e11 = np.zeros((p, p), dtype=complex)
+        weights = np.broadcast_to(rep.matrices[:, :1, 0].conj(), perms.shape)
+        np.add.at(e11, (perms, cols), weights * (rep.dim / order))
+        w, u = np.linalg.eigh(e11)
+        q = np.ascontiguousarray(u[:, w > 0.5])
+        q.setflags(write=False)
+        out.append((rep.dim, q))
+    return tuple(out)
 
 
 # --- Fourier analysis on a group -------------------------------------------
@@ -214,15 +236,7 @@ def group_plancherel_check(
 def group_pd_matrix(f: GroupMatrixMap) -> np.ndarray:
     """The |G|n x |G|n block matrix with (g, g') block f(g^-1 g')."""
     group = f.group
-    n = f.dim
-    N = group.order
-    big = np.zeros((N * n, N * n), dtype=complex)
-    for g in range(N):
-        for h in range(N):
-            big[g * n : (g + 1) * n, h * n : (h + 1) * n] = f.values[
-                group.mul(int(group.inv[g]), h)
-            ]
-    return big
+    return block_matrix(f.values, group.table[group.inv])
 
 
 def group_pd_check(f: GroupMatrixMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

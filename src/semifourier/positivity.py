@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import DEFAULT_TOL, BlockTensor, hermitized, psd_verdict
+from .cxmat import DEFAULT_TOL, BlockTensor, block_matrix, hermitized, psd_verdict
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -61,16 +61,33 @@ def eval_groupoid(f: MatrixMap) -> np.ndarray:
     return combine(f.structure.mobius_float.T, f.values)
 
 
-def _block_matrix(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The square block matrices whose (a, b) block is vals[idx[..., a, b]], in one gather."""
-    p, n = idx.shape[-1], vals.shape[-1]
-    return vals[idx].swapaxes(-3, -2).reshape(idx.shape[:-2] + (p * n, p * n))
-
-
 def _pd_matrix_natural(f: MatrixMap) -> np.ndarray:
     st = f.structure
     e = np.asarray(st.nonzero)
-    return _block_matrix(eval_natural(f), st.table.table[st.inv[e][:, None], e[None, :]])
+    return block_matrix(eval_natural(f), st.table.table[st.inv[e][:, None], e[None, :]])
+
+
+def _natural_spectra(mat: np.ndarray, f: MatrixMap) -> list[tuple[int, np.ndarray]]:
+    """(d_rho, ascending eigenvalues of the rho-block) of the Hermitized natural matrix.
+
+    The rho-block is (Q_rho (x) I_n)^dagger H (Q_rho (x) I_n) with Q_rho from
+    ``InverseStructure.unit_isotypic_bases``; the spectrum of H is the union
+    of the block spectra, each repeated d_rho times.  Q^dagger H Q is the
+    Hermitized Q^dagger mat Q, so only the small blocks are Hermitized.
+    """
+    bases = f.structure.unit_isotypic_bases
+    q_all = np.concatenate([q for _, q in bases], axis=1)
+    (p, m_all), n = q_all.shape, f.dim
+    # Q_rho^dagger on the row elements of every block at once: (m_all, n, p, n)
+    left = (q_all.conj().T @ mat.reshape(p, n * p * n)).reshape(m_all, n, p, n)
+    out, start = [], 0
+    for d, q in bases:
+        m = q.shape[1]
+        rows = left[start : start + m].transpose(0, 1, 3, 2).reshape(m * n * n, p)
+        block = (rows @ q).reshape(m, n, n, m).transpose(0, 1, 3, 2).reshape(m * n, m * n)
+        out.append((d, np.linalg.eigvalsh(hermitized(block))))
+        start += m
+    return out
 
 
 def _r_class_grams(f: MatrixMap, idempotents) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -91,7 +108,7 @@ def _r_class_grams(f: MatrixMap, idempotents) -> list[tuple[np.ndarray, np.ndarr
     for size in np.unique(sizes):
         m = rows[sizes == size, :size]
         idx = st.table.table[st.inv[m][:, :, None], m[:, None, :]]
-        out.append((idem[sizes == size], _block_matrix(vals, idx)))
+        out.append((idem[sizes == size], block_matrix(vals, idx)))
     return out
 
 
@@ -109,9 +126,14 @@ class PDSlice:
 def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> PDSlice:
     """Positive-definiteness of the linear map f denotes, one mode at a time.
 
-    natural: PSD test of [Lambda(s^-1 s')], one dense eigensolve.  It is the
-    definition's own check and stays dense on purpose: a congruence with the
-    groupoid matrix would keep its verdict but not its witness.
+    natural: PSD test of [Lambda(s^-1 s')], the definition's own check.
+    Left multiplication by a unit g permutes the nonzero elements and keeps
+    s^-1 s', so by Schur's lemma the Hermitized matrix splits unitarily into
+    one block per irrep rho of the unit group (Gatermann-Parrilo symmetry
+    reduction), each repeated d_rho times.  The spectrum is taken from those
+    blocks, so the witness and ||.||_2 are the dense ones up to rounding; the
+    hermitian defect and scale are scans of the matrix itself.  Without an
+    identity the group is trivial and the one block is the whole matrix.
     groupoid: PSD test of [Lambda(floor(s^-1) floor(s'))].  That matrix is
     block diagonal over the R-classes {s : ran s = e}, so it is judged one
     R-class block at a time; the verdict, witness and defect are those of
@@ -125,7 +147,9 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
         raise ValueError(f"unknown pd mode {mode!r}")
     st = f.structure
     if mode == "natural":
-        ok, lo, defect, _ = psd_verdict([_pd_matrix_natural(f)], tol)
+        mat = _pd_matrix_natural(f)
+        spectrum = np.sort(np.concatenate([w for _, w in _natural_spectra(mat, f)]))
+        ok, lo, defect, _ = psd_verdict([mat], tol, [spectrum])
         return PDSlice(mode, ok, lo, defect)
     if mode == "groupoid":
         ok, lo, defect, _ = psd_verdict([g for _, g in _r_class_grams(f, st.idempotents)], tol)

@@ -350,6 +350,34 @@ class InverseStructure:
         a.setflags(write=False)
         return a
 
+    @cached_property
+    def unit_isotypic_bases(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(d_rho, Q_rho) per irrep rho of the unit group, over ``nonzero``.
+
+        The unit group G is the maximal subgroup at the identity.  Left
+        multiplication by g in G permutes the nonzero elements and keeps
+        s^-1 t, since (gs)^-1 (gt) = s^-1 t, so it commutes with the natural
+        PD matrix; ``grouprep.isotypic_bases`` gives the Q_rho that split it.
+        The irreps are ``unitary_irreps(G, seed=0)`` whatever seed the caller
+        uses.  Without an identity, or with |G| above ``MAX_GROUP_ORDER``, G
+        is the trivial group and its one Q_rho spans every nonzero element.
+        """
+        from .grouprep import MAX_GROUP_ORDER, isotypic_bases, unitary_irreps
+
+        t, nz = self.table.table, np.asarray(self.nonzero, dtype=np.intp)
+        everything = np.arange(self.table.order)
+        one = next((e for e in self.idempotents
+                    if np.array_equal(t[e], everything) and np.array_equal(t[:, e], everything)), None)
+        if one is not None and np.sum((self.dom == one) & (self.ran == one)) <= MAX_GROUP_ORDER:
+            group = maximal_subgroup(self, one)
+            pos = np.zeros(self.table.order, dtype=np.intp)
+            pos[nz] = np.arange(len(nz))
+            perms = pos[t[np.asarray(group.ambient)][:, nz]]
+        else:
+            group = cyclic_group_table(1)
+            perms = np.arange(len(nz))[None, :]
+        return isotypic_bases(unitary_irreps(group, seed=0), perms)
+
     def mul(self, a: int, b: int) -> int:
         return self.table.mul(a, b)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from semifourier.cxmat import DEFAULT_TOL, hermitized
+from semifourier.cxmat import DEFAULT_TOL, block_matrix, hermitized
 from semifourier.errors import (
     NotARepresentation,
     NotPositiveDefinite,
@@ -20,10 +20,18 @@ from semifourier.errors import (
 )
 from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, combine, from_groupoid, to_groupoid
 from semifourier.maps import convolve, tensor_lift, tensor_mul
+from semifourier.grouprep import (
+    MAX_GROUP_ORDER,
+    GroupMatrixMap,
+    _SplitFailed,
+    _verify_rep,
+    group_pd_matrix,
+    unitary_irreps,
+)
 from semifourier.positivity import (
     Dilation,
     MatrixAlgebraRep,
-    _block_matrix,
+    _natural_spectra,
     _pd_matrix_natural,
     _r_class_grams,
     bochner_check,
@@ -41,7 +49,7 @@ from semifourier.positivity import (
     transpose_map,
     verify_rep,
 )
-from semifourier.semigroup import build_matrix_units
+from semifourier.semigroup import build_matrix_units, from_builtin, inverse_structure, maximal_subgroup
 
 from conftest import BUILTINS, get_irreps, get_structure
 
@@ -106,7 +114,7 @@ def pd_matrix_groupoid(f, elements):
     # floor(s^-1) floor(t) = floor(s^-1 t) iff ran(s) = ran(t); other blocks read z's zero slot
     same_ran = st.ran[e][:, None] == st.ran[e][None, :]
     idx = np.where(same_ran, st.table.table[st.inv[e][:, None], e[None, :]], st.zero)
-    return _block_matrix(eval_groupoid(f), idx)
+    return block_matrix(eval_groupoid(f), idx)
 
 
 def oracle_verdict(mat, tol=DEFAULT_TOL):
@@ -434,3 +442,138 @@ def test_rep_residual_matches_loop(m):
     assert rep_residual(bad) == pytest.approx(oracle_rep_residual(bad), abs=1e-12)
     with pytest.raises(NotARepresentation):
         verify_rep(bad)
+
+
+# --- natural-mode PD, one block per irrep of the unit group -------------------------
+
+NATURAL_REFS = (
+    "builtin:symmetric_inverse:2",
+    "builtin:symmetric_inverse:3",
+    "builtin:symmetric_inverse:4",
+    "builtin:cyclic_with_zero:5",
+    "builtin:matrix_units:3",  # no identity: the trivial group, one block
+)
+NATURAL_CASES = [(ref, n) for ref in NATURAL_REFS for n in (1, 2)] + [("builtin:symmetric_inverse:4", 4)]
+
+
+def units(st):
+    """The ambient indices of the unit group, or () when S has no identity."""
+    everything = np.arange(st.table.order)
+    t = st.table.table
+    for e in st.idempotents:
+        if np.array_equal(t[e], everything) and np.array_equal(t[:, e], everything):
+            return maximal_subgroup(st, e).ambient
+    return ()
+
+
+@pytest.mark.parametrize("kind", ["random", "gram"])
+@pytest.mark.parametrize("ref,n", NATURAL_CASES)
+def test_pd_natural_blocks_match_dense_oracle(ref, n, kind):
+    f = pd_input(ref, n, kind)
+    mat = _pd_matrix_natural(f)
+    ok, lo, defect, norm2 = oracle_verdict(mat)
+    got = pd_check(f, "natural")
+    assert (got.verdict, got.hermitian_defect) == (ok, defect)
+    assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
+
+    # each block's spectrum, repeated d_rho times, is the dense spectrum
+    spectra = _natural_spectra(mat, f)
+    blocks = np.sort(np.concatenate([np.repeat(w, d) for d, w in spectra]))
+    dense = np.linalg.eigvalsh(hermitized(mat))
+    assert np.abs(blocks - dense).max() <= 1e-10 * max(1.0, norm2)
+    got_norm2 = max(max(abs(w[0]), abs(w[-1])) for _, w in spectra)
+    assert abs(got_norm2 - norm2) <= 1e-12 * max(1.0, norm2)
+
+
+def test_pd_natural_unit_group_above_the_cap_is_trivial():
+    st = inverse_structure(from_builtin(f"builtin:cyclic_with_zero:{MAX_GROUP_ORDER + 2}"))
+    assert len(units(st)) > MAX_GROUP_ORDER
+    ((d, q),) = st.unit_isotypic_bases
+    assert d == 1 and np.array_equal(np.abs(q), np.eye(len(st.nonzero)))
+    for f in (random_map(st, 2, 3), gram_pd_map(st, 2, seed=3)):
+        ok, lo, defect, norm2 = oracle_verdict(_pd_matrix_natural(f))
+        got = pd_check(f, "natural")
+        assert (got.verdict, got.hermitian_defect) == (ok, defect)
+        assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ref=hst.sampled_from(NATURAL_REFS + ("builtin:symmetric_inverse:1", "builtin:matrix_units:1")),
+    n=hst.integers(1, 2),
+    seed=hst.integers(0, 2**16),
+    basis=hst.sampled_from([NATURAL, GROUPOID]),
+)
+def test_natural_matrix_is_unit_invariant_and_the_bases_split_it(ref, n, seed, basis):
+    st = get_structure(ref)
+    f = random_map(st, n, seed, basis)
+    p = len(st.nonzero)
+    mat = _pd_matrix_natural(f).reshape(p, n, p, n)
+    pos = {s: i for i, s in enumerate(st.nonzero)}
+    for g in units(st):
+        # N[gs, gt] = N[s, t]: (gs)^-1 (gt) = s^-1 t
+        perm = [pos[st.mul(g, s)] for s in st.nonzero]
+        assert np.array_equal(mat[perm][:, :, perm], mat)
+    bases = st.unit_isotypic_bases
+    assert st.unit_isotypic_bases is bases  # cached on the structure
+    for _, q in bases:
+        assert_close(q.conj().T @ q, np.eye(q.shape[1]))
+    assert sum(d * q.shape[1] for d, q in bases) == p
+    # the irreps come from the unit group: their dimensions square-sum to |G|
+    assert sum(d * d for d, _ in bases) == max(1, len(units(st)))
+
+
+# --- group-level kernels ------------------------------------------------------------
+
+def group_cases():
+    for ref, e in (("builtin:symmetric_inverse:3", -1), ("builtin:symmetric_inverse:4", -1),
+                   ("builtin:cyclic_with_zero:5", -1)):
+        st = get_structure(ref)
+        yield maximal_subgroup(st, st.idempotents[e])
+
+
+def oracle_verify_rep(group, mats, tol):
+    """The |G|^2 loop: identity, then per g unitarity and every product with g on the left."""
+    eye = np.eye(mats.shape[1])
+    if np.abs(mats[group.identity] - eye).max() > tol:
+        return "identity matrix is off"
+    for g in range(group.order):
+        if np.abs(mats[g] @ mats[g].conj().T - eye).max() > tol:
+            return "non-unitary representation matrix"
+        for h in range(group.order):
+            if np.abs(mats[g] @ mats[h] - mats[group.table[g, h]]).max() > tol:
+                return "representation is not multiplicative"
+    return None
+
+
+@pytest.mark.parametrize("group", list(group_cases()), ids=lambda g: f"order{g.order}")
+def test_verify_rep_matches_loop(group):
+    def verdict(mats):
+        try:
+            _verify_rep(group, mats, 1e-10)
+        except _SplitFailed as exc:
+            return str(exc)
+        return None
+
+    for rep in unitary_irreps(group):
+        mats = rep.matrices
+        assert verdict(mats) is None is oracle_verify_rep(group, mats, 1e-10)
+        off = mats.copy()
+        off[group.identity] *= -1.0
+        scaled = mats * (1.0 + 1e-6)
+        flipped = mats.copy()
+        flipped[(group.identity + 1) % group.order] *= -1.0  # unitary, not multiplicative
+        for bad in (off, scaled, flipped):
+            assert verdict(bad) == oracle_verify_rep(group, bad, 1e-10) is not None
+
+
+@pytest.mark.parametrize("group", list(group_cases()), ids=lambda g: f"order{g.order}")
+@pytest.mark.parametrize("n", [1, 2])
+def test_group_pd_matrix_equals_loop_assembly_bitwise(group, n):
+    rng = np.random.default_rng([group.order, n, 41])
+    vals = rng.standard_normal((group.order, n, n)) + 1j * rng.standard_normal((group.order, n, n))
+    want = np.zeros((group.order * n, group.order * n), dtype=complex)
+    for g in range(group.order):
+        for h in range(group.order):
+            want[g * n : (g + 1) * n, h * n : (h + 1) * n] = vals[group.mul(int(group.inv[g]), h)]
+    assert np.array_equal(group_pd_matrix(GroupMatrixMap(group, n, vals)), want)
