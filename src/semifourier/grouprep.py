@@ -53,15 +53,6 @@ class GroupMatrixMap:
     values: np.ndarray  # (|G|, n, n)
 
 
-def regular_representation(group: GroupTable) -> np.ndarray:
-    """Left regular representation as (|G|, |G|, |G|) permutation matrices."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        mats[g, group.table[g, :], np.arange(n)] = 1.0
-    return mats
-
-
 class _SplitFailed(Exception):
     pass
 
@@ -71,16 +62,17 @@ def _character_norm(rep: np.ndarray) -> float:
     return float(np.sum(np.abs(chars) ** 2).real)
 
 
-def _split_invariant(reg: np.ndarray, basis: np.ndarray, rng, out: list[np.ndarray]) -> None:
-    n = reg.shape[0]
-    rep = np.einsum("pa,gpq,qb->gab", basis.conj(), reg, basis)
+def _split_invariant(group: GroupTable, basis: np.ndarray, rng, out: list[np.ndarray]) -> None:
+    n = group.order
+    # basis^dagger R(g) basis for every g: R(g) e_q = e_(gq) is a row gather
+    rep = basis.conj()[group.table].swapaxes(1, 2) @ basis
     if round(_character_norm(rep) / n) == 1:
-        out.append(basis)
+        out.append(rep)
         return
     d = basis.shape[1]
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     a = (a + a.conj().T) / 2.0
-    h = np.einsum("gab,bc,gdc->ad", rep, a, rep.conj()) / n
+    h = np.einsum("gab,bc,gdc->ad", rep, a, rep.conj(), optimize=True) / n
     h = (h + h.conj().T) / 2.0
     w, u = np.linalg.eigh(h)
     spread = max(1.0, float(w[-1] - w[0]))
@@ -89,7 +81,7 @@ def _split_invariant(reg: np.ndarray, basis: np.ndarray, rng, out: list[np.ndarr
         raise _SplitFailed("commutant element failed to split a reducible subspace")
     bounds = [0] + [int(c) + 1 for c in cuts] + [d]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        _split_invariant(reg, basis @ u[:, lo:hi], rng, out)
+        _split_invariant(group, basis @ u[:, lo:hi], rng, out)
 
 
 def _char_key(chars: np.ndarray) -> tuple:
@@ -117,16 +109,14 @@ def unitary_irreps(group: GroupTable, seed: int = 0) -> list[GroupRep]:
     n = group.order
     if n > MAX_GROUP_ORDER:
         raise SizeLimit(f"group order {n} exceeds {MAX_GROUP_ORDER}")
-    reg = regular_representation(group)
     last = None
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt, n])
         try:
             blocks: list[np.ndarray] = []
-            _split_invariant(reg, np.eye(n, dtype=complex), rng, blocks)
+            _split_invariant(group, np.eye(n, dtype=complex), rng, blocks)
             seen: dict[tuple, np.ndarray] = {}
-            for basis in blocks:
-                mats = np.einsum("pa,gpq,qb->gab", basis.conj(), reg, basis)
+            for mats in blocks:
                 key = _char_key(np.einsum("gii->g", mats))
                 if key not in seen:
                     seen[key] = mats

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SizeLimit
 from .harmonic import MatrixMap
 from .maps import Supermap
 from .positivity import Dilation, MatrixAlgebraRep
-from .semigroup import SemigroupTable, from_builtin, inverse_structure
+from .semigroup import MAX_ORDER, SemigroupTable, from_builtin, inverse_structure
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -42,6 +43,8 @@ def semigroup_to_json(t: SemigroupTable) -> dict:
 
 def semigroup_from_json(obj: dict) -> SemigroupTable:
     names = tuple(str(x) for x in obj["elements"])
+    if len(names) > MAX_ORDER:
+        raise SizeLimit(f"semigroup has {len(names)} elements; the cap is {MAX_ORDER}")
     zero = obj.get("zero")
     return SemigroupTable(
         name=str(obj.get("name", "semigroup")),

@@ -5,7 +5,9 @@ distinguished zero.  From a validated table with zero we derive the inverse
 structure: unique generalized inverses, idempotents, the natural partial
 order, the Mobius function (exact integers), D-classes with their base
 idempotents and transversals, the groupoid change-of-basis matrices, and
-maximal subgroups.
+maximal subgroups.  The Mobius function is lifted from the semilattice of
+idempotents: mu(s, t) = mu_E(ran s, ran t) for s <= t (B. Steinberg,
+"Mobius functions and semigroup representation theory", JCTA 113, 2006).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import (
 )
 
 MAX_SYMMETRIC_DEGREE = 4  # |I_4| = 209 elements; degree 5 would be 1546
+MAX_ORDER = 256  # elements in a semigroup file; I_4 has 209, matrix_units:15 has 226
+_VALIDATE_ROWS = 16  # rows of x per associativity chunk
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,24 @@ class SemigroupTable:
         )
 
 
+def _associativity_witness(tab: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in row-major order with (xy)z != x(yz), or None.
+
+    Rows of x are compared in chunks, so the temporaries stay at
+    2 * _VALIDATE_ROWS * N^2 indices instead of 2 * N^3.
+    """
+    n = tab.shape[0]
+    tab = tab.astype(np.int16 if n < 2**15 else np.int32)
+    for x0 in range(0, n, _VALIDATE_ROWS):
+        rows = tab[x0:x0 + _VALIDATE_ROWS]
+        # [x, y, z]: table[xy, z] against table[x, yz]
+        bad = np.take(tab, rows, axis=0) != np.take(rows, tab, axis=1)
+        if bad.any():
+            x, y, z = (int(v) for v in np.argwhere(bad)[0])
+            return x0 + x, y, z
+    return None
+
+
 def validate_semigroup(t: SemigroupTable) -> None:
     """Check associativity over all triples and absorption of the zero.
 
@@ -79,11 +101,9 @@ def validate_semigroup(t: SemigroupTable) -> None:
     failure found, or ZeroNotAbsorbing.
     """
     tab = t.table
-    # (xy)z vs x(yz), fully vectorized; N <= ~209 keeps this in memory
-    left = tab[tab]          # left[x,y,z] = table[table[x,y],z]
-    right = tab[:, tab]      # right[x,y,z] = table[x,table[y,z]]
-    if not np.array_equal(left, right):
-        x, y, z = (int(v) for v in np.argwhere(left != right)[0])
+    witness = _associativity_witness(tab)
+    if witness is not None:
+        x, y, z = witness
         names = t.element_names
         raise NotAssociative(
             f"({names[x]}*{names[y]})*{names[z]} != {names[x]}*({names[y]}*{names[z]})",
@@ -137,12 +157,6 @@ def _partial_bijections(n: int):
     return out
 
 
-def _compose_pbij(s, t):
-    """s after t: x -> s(t(x)) wherever defined."""
-    smap = dict(s)
-    return tuple(sorted((x, smap[y]) for x, y in t if y in smap))
-
-
 def build_symmetric_inverse(n: int) -> SemigroupTable:
     """Symmetric inverse semigroup I_n: partial bijections of {1..n} under composition."""
     if n < 1:
@@ -150,7 +164,6 @@ def build_symmetric_inverse(n: int) -> SemigroupTable:
     if n > MAX_SYMMETRIC_DEGREE:
         raise SizeLimit(f"symmetric inverse degree capped at {MAX_SYMMETRIC_DEGREE}")
     elems = _partial_bijections(n)
-    index = {e: i for i, e in enumerate(elems)}
 
     def label(e):
         if not e:
@@ -159,10 +172,17 @@ def build_symmetric_inverse(n: int) -> SemigroupTable:
 
     names = tuple(label(e) for e in elems)
     N = len(elems)
-    tab = np.zeros((N, N), dtype=np.int32)
-    for i, s in enumerate(elems):
-        for j, t in enumerate(elems):
-            tab[i, j] = index[_compose_pbij(s, t)]
+    # img[i, x] is the 0-based image of point x + 1 under element i, n where
+    # undefined; column n keeps "undefined" undefined under composition
+    img = np.full((N, n + 1), n, dtype=np.intp)
+    for i, e in enumerate(elems):
+        for x, y in e:
+            img[i, x - 1] = y - 1
+    # s after t is x -> img[s, img[t, x]]; a map is its base-(n + 1) code
+    weights = (n + 1) ** np.arange(n)
+    index = np.empty((n + 1) ** n, dtype=np.int32)
+    index[img[:, :n] @ weights] = np.arange(N)
+    tab = index[img[np.arange(N)[:, None, None], img[None, :, :n]] @ weights]
     return SemigroupTable(f"symmetric_inverse:{n}", names, 0, tab)
 
 
@@ -190,11 +210,8 @@ def build_cyclic_with_zero(n: int) -> SemigroupTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     names = ("z",) + tuple(f"g{i}" for i in range(n))
-    N = n + 1
-    tab = np.zeros((N, N), dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            tab[1 + i, 1 + j] = 1 + (i + j) % n
+    tab = np.zeros((n + 1, n + 1), dtype=np.int32)
+    tab[1:, 1:] = 1 + np.add.outer(np.arange(n), np.arange(n)) % n
     return SemigroupTable(f"cyclic_with_zero:{n}", names, 0, tab)
 
 
@@ -272,9 +289,7 @@ def cyclic_group_table(n: int) -> GroupTable:
 def validate_group(g: GroupTable) -> None:
     n = g.order
     tab = g.table
-    left = tab[tab][:, :, :]
-    right = tab[:, tab]
-    if not np.array_equal(left, right):
+    if _associativity_witness(tab) is not None:
         raise NotAssociative("group table is not associative")
     e = g.identity
     if not (np.array_equal(tab[e, :], np.arange(n)) and np.array_equal(tab[:, e], np.arange(n))):
@@ -392,50 +407,41 @@ class InverseStructure:
 
 
 def _unique_inverses(t: SemigroupTable) -> np.ndarray:
-    n = t.order
-    tab = t.table
-    ar = np.arange(n)
-    inv = np.empty(n, dtype=np.int32)
-    for s in range(n):
-        sts = tab[tab[s, :], s]          # s * t * s over all t
-        tst = tab[tab[:, s], ar]         # t * s * t over all t
-        cands = np.nonzero((sts == s) & (tst == ar))[0]
-        if len(cands) != 1:
-            raise NotInverseSemigroup(
-                f"element {t.element_names[s]} has {len(cands)} generalized inverses", s
-            )
-        inv[s] = cands[0]
-    return inv
+    tab, ar = t.table, np.arange(t.order)
+    # cands[s, u]: s u s = s and u s u = u
+    cands = (tab[tab, ar[:, None]] == ar[:, None]) & (tab[tab.T, ar] == ar)
+    counts = cands.sum(axis=1)
+    if np.any(counts != 1):
+        s = int(np.flatnonzero(counts != 1)[0])
+        raise NotInverseSemigroup(
+            f"element {t.element_names[s]} has {counts[s]} generalized inverses", s
+        )
+    return cands.argmax(axis=1).astype(np.int32)
 
 
-def _mobius_table(leq: np.ndarray, elements: list[int]) -> np.ndarray:
-    n = leq.shape[0]
-    mob = np.zeros((n, n), dtype=np.int64)
-    # mu(x, x) = 1; mu(x, y) = -sum_{x < z <= y} mu(z, y), exact integers
-    memo: dict[tuple[int, int], int] = {}
+def _semilattice_mobius(leq_e: np.ndarray) -> np.ndarray:
+    """Inverse of the zeta matrix of a finite poset, as exact integers.
 
-    def mu(x: int, y: int) -> int:
-        if x == y:
-            return 1
-        key = (x, y)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for z in elements:
-            if z != x and leq[x, z] and leq[z, y]:
-                total += mu(z, y)
-        memo[key] = -total
-        return -total
-
-    for x in elements:
-        for y in elements:
-            if leq[x, y]:
-                mob[x, y] = mu(x, y)
-    return mob
+    Sorted by down-set size, e < f puts e before f, so the zeta matrix is
+    unitriangular and back-substitution solves Z mu = I row by row.
+    """
+    order = np.argsort(leq_e.sum(axis=0), kind="stable")
+    zeta = leq_e[np.ix_(order, order)].astype(np.int64)
+    mu = np.eye(len(order), dtype=np.int64)
+    for i in range(len(order) - 1, -1, -1):
+        mu[i] -= zeta[i, i + 1:] @ mu[i + 1:]
+    out = np.empty_like(mu)
+    out[np.ix_(order, order)] = mu
+    return out
 
 
 def inverse_structure(t: SemigroupTable) -> InverseStructure:
-    """Derive the full inverse structure of a validated semigroup with zero."""
+    """Derive the full inverse structure of a validated semigroup with zero.
+
+    For s <= t, e -> e t maps the idempotents below ran t onto the interval
+    below t, so mu(s, t) = mu_E(ran s, ran t) (Steinberg 2006), and only the
+    zeta matrix of the idempotents is inverted.
+    """
     if t.zero is None:
         raise NoZeroElement(f"{t.name} has no zero; adjoin one first")
     validate_semigroup(t)
@@ -454,7 +460,11 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
     leq[:, z] = False
 
     nonzero = [i for i in range(n) if i != z]
-    mobius = _mobius_table(leq, nonzero)
+    idems = np.asarray(idempotents, dtype=np.intp)
+    pos = np.zeros(n, dtype=np.intp)
+    pos[idems] = np.arange(len(idems))
+    mu_e = _semilattice_mobius(leq[np.ix_(idems, idems)])
+    mobius = np.where(leq, mu_e[pos[ran][:, None], pos[ran][None, :]], 0)
 
     # D-relation: s D t iff some x has dom(x) = ran(s) and ran(x) = ran(t)
     linked = np.zeros((n, n), dtype=bool)
@@ -537,18 +547,15 @@ def maximal_subgroup(s: InverseStructure, e: int) -> GroupTable:
     if not s.is_idempotent(e):
         raise NotIdempotent(f"element {s.table.element_names[e]} is not a nonzero idempotent")
     members = [x for x in s.nonzero if s.dom[x] == e and s.ran[x] == e]
-    local = {x: i for i, x in enumerate(members)}
-    m = len(members)
-    tab = np.zeros((m, m), dtype=np.int32)
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            tab[i, j] = local[s.mul(x, y)]
-    inv = np.array([local[int(s.inv[x])] for x in members], dtype=np.int32)
+    local = np.zeros(s.table.order, dtype=np.int32)
+    local[members] = np.arange(len(members))
+    tab = local[s.table.table[np.ix_(members, members)]]
+    inv = local[s.inv[members]]
     g = GroupTable(
         name=f"G[{s.table.element_names[e]}]",
         element_names=tuple(s.table.element_names[x] for x in members),
         table=tab,
-        identity=local[e],
+        identity=int(local[e]),
         inv=inv,
         ambient=tuple(members),
     )

@@ -17,7 +17,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from semifourier.harmonic import induced_irreps  # noqa: E402
-from semifourier.semigroup import from_builtin, inverse_structure  # noqa: E402
+from semifourier.semigroup import SemigroupTable, from_builtin, inverse_structure  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_DATA = REPO_ROOT / "sample_data"
@@ -44,6 +44,27 @@ def get_structure(ref: str):
 @lru_cache(maxsize=None)
 def get_irreps(ref: str, seed: int = 0):
     return induced_irreps(get_structure(ref), seed=seed)
+
+
+def inverse_subsemigroup(n: int, generators) -> SemigroupTable:
+    """The inverse subsemigroup of I_n generated by the given elements of I_n, plus zero.
+
+    Closing partial bijections under product and inverse gives idempotent
+    semilattices that are not Boolean and unit groups other than S_n.
+    """
+    rook = get_structure(f"builtin:symmetric_inverse:{n}")
+    tab = rook.table.table
+    members = np.unique(np.concatenate([[rook.zero], generators, rook.inv[list(generators)]]))
+    while True:
+        closed = np.union1d(members, tab[np.ix_(members, members)])
+        if len(closed) == len(members):
+            break
+        members = closed
+    local = np.zeros(rook.table.order, dtype=np.int32)
+    local[members] = np.arange(len(members))
+    names = tuple(rook.table.element_names[m] for m in members)
+    return SemigroupTable(f"I{n}<{','.join(map(str, generators))}>", names,
+                          int(local[rook.zero]), local[tab[np.ix_(members, members)]])
 
 
 @pytest.fixture

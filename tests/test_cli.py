@@ -5,6 +5,7 @@ import pytest
 from semifourier.cli import main
 from semifourier.harmonic import MatrixMap
 from semifourier.jsonio import load_map, save_map
+from semifourier.semigroup import MAX_ORDER
 
 from conftest import SAMPLE_DATA
 
@@ -52,6 +53,18 @@ def test_analyze_corrupted_table_exits_3(tmp_path, capsys):
     assert code == 3
     diag = json.loads(err)
     assert diag["error"]["kind"] == "NotAssociative"
+
+
+def test_semigroup_file_above_the_size_cap_exits_4(tmp_path, capsys):
+    # a null semigroup with one bad cell: at the cap it is validated and refused
+    # as not associative; one element more and it is refused before validation
+    for order, want, kind in ((MAX_ORDER, 3, "NotAssociative"), (MAX_ORDER + 1, 4, "SizeLimit")):
+        table = [[0] * order for _ in range(order)]
+        table[1][2] = 2
+        path = tmp_path / f"null{order}.json"
+        path.write_text(json.dumps({"elements": [f"x{i}" for i in range(order)], "zero": "x0", "table": table}))
+        code, _, err = run_cli(["analyze", path], capsys)
+        assert (code, json.loads(err)["error"]["kind"]) == (want, kind)
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from semifourier.errors import SizeLimit
 from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, induced_irreps
 from semifourier.jsonio import (
     irreps_to_json,
@@ -19,6 +21,7 @@ from semifourier.jsonio import (
 )
 from semifourier.maps import Supermap
 from semifourier.positivity import conjugation_rep, gram_pd_map, random_unitary
+from semifourier.semigroup import MAX_ORDER, build_cyclic_with_zero
 
 from conftest import get_structure
 
@@ -37,6 +40,19 @@ def test_semigroup_roundtrip():
     t = get_structure("builtin:symmetric_inverse:2").table
     back = semigroup_from_json(semigroup_to_json(t))
     assert back.same_semigroup(t)
+
+
+@pytest.mark.parametrize("ref", ["builtin:symmetric_inverse:4", "builtin:matrix_units:14"])
+def test_semigroup_roundtrip_at_the_size_cap(ref):
+    t = get_structure(ref).table
+    assert t.order <= MAX_ORDER
+    assert semigroup_from_json(semigroup_to_json(t)).same_semigroup(t)
+
+
+def test_semigroup_above_the_size_cap_is_refused():
+    t = build_cyclic_with_zero(MAX_ORDER)
+    with pytest.raises(SizeLimit):
+        semigroup_from_json(semigroup_to_json(t))
 
 
 def test_resolve_builtin_and_inline():

@@ -1,4 +1,4 @@
-"""Table-gather and block kernels against the loops they replaced.
+"""Table-gather, block and set-up kernels against the loops they replaced.
 
 Each oracle below walks element pairs in Python, or works on the whole
 dense matrix, the way the library once did.  Kernels that only gather values
@@ -14,6 +14,7 @@ from hypothesis import strategies as hst
 from semifourier.cxmat import DEFAULT_TOL, block_matrix, hermitized
 from semifourier.errors import (
     NotARepresentation,
+    NotAssociative,
     NotPositiveDefinite,
     ReconstructionFailure,
     WrongBasis,
@@ -23,6 +24,7 @@ from semifourier.maps import convolve, tensor_lift, tensor_mul
 from semifourier.grouprep import (
     MAX_GROUP_ORDER,
     GroupMatrixMap,
+    _char_key,
     _SplitFailed,
     _verify_rep,
     group_pd_matrix,
@@ -49,9 +51,18 @@ from semifourier.positivity import (
     transpose_map,
     verify_rep,
 )
-from semifourier.semigroup import build_matrix_units, from_builtin, inverse_structure, maximal_subgroup
+from semifourier.semigroup import (
+    SemigroupTable,
+    _partial_bijections,
+    build_matrix_units,
+    cyclic_group_table,
+    from_builtin,
+    inverse_structure,
+    maximal_subgroup,
+    validate_semigroup,
+)
 
-from conftest import BUILTINS, get_irreps, get_structure
+from conftest import BUILTINS, get_irreps, get_structure, inverse_subsemigroup
 
 REFS = (
     "builtin:symmetric_inverse:2",
@@ -577,3 +588,171 @@ def test_group_pd_matrix_equals_loop_assembly_bitwise(group, n):
         for h in range(group.order):
             want[g * n : (g + 1) * n, h * n : (h + 1) * n] = vals[group.mul(int(group.inv[g]), h)]
     assert np.array_equal(group_pd_matrix(GroupMatrixMap(group, n, vals)), want)
+
+
+# --- structure setup ------------------------------------------------------------------
+
+def oracle_symmetric_inverse_table(n):
+    """I_n by composing every pair of partial bijections in Python, s after t."""
+    elems = _partial_bijections(n)
+    index = {e: i for i, e in enumerate(elems)}
+    tab = np.zeros((len(elems), len(elems)), dtype=np.int32)
+    for i, s in enumerate(elems):
+        smap = dict(s)
+        for j, t in enumerate(elems):
+            tab[i, j] = index[tuple(sorted((x, smap[y]) for x, y in t if y in smap))]
+    return tab
+
+
+def oracle_mobius(leq, elements):
+    """mu(x, x) = 1 and mu(x, y) = -sum_{x < z <= y} mu(z, y), by memoized recursion."""
+    mob = np.zeros(leq.shape, dtype=np.int64)
+    memo = {}
+
+    def mu(x, y):
+        if x == y:
+            return 1
+        if (x, y) not in memo:
+            memo[x, y] = -sum(mu(z, y) for z in elements if z != x and leq[x, z] and leq[z, y])
+        return memo[x, y]
+
+    for x in elements:
+        for y in elements:
+            if leq[x, y]:
+                mob[x, y] = mu(x, y)
+    return mob
+
+
+def oracle_irreps(group, seed=0):
+    """Irrep matrices from the dense regular representation and unoptimised einsums."""
+    n = group.order
+    reg = np.zeros((n, n, n), dtype=complex)
+    for g in range(n):
+        reg[g, group.table[g, :], np.arange(n)] = 1.0
+
+    def split(basis, rng, out):
+        rep = np.einsum("pa,gpq,qb->gab", basis.conj(), reg, basis)
+        if round(float(np.sum(np.abs(np.einsum("gii->g", rep)) ** 2)) / n) == 1:
+            out.append(rep)
+            return
+        d = basis.shape[1]
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = (a + a.conj().T) / 2.0
+        h = np.einsum("gab,bc,gdc->ad", rep, a, rep.conj()) / n
+        w, u = np.linalg.eigh((h + h.conj().T) / 2.0)
+        cuts = np.nonzero(np.diff(w) > 1e-6 * max(1.0, float(w[-1] - w[0])))[0]
+        if len(cuts) == 0:
+            raise _SplitFailed("commutant element failed to split a reducible subspace")
+        bounds = [0] + [int(c) + 1 for c in cuts] + [d]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            split(basis @ u[:, lo:hi], rng, out)
+
+    for attempt in range(8):
+        out = []
+        try:
+            split(np.eye(n, dtype=complex), np.random.default_rng([seed, attempt, n]), out)
+        except _SplitFailed:
+            continue
+        seen = {}
+        for mats in out:
+            seen.setdefault(_char_key(np.einsum("gii->g", mats)), mats)
+        return [m for _, m in sorted(seen.items(), key=lambda kv: (kv[1].shape[1], kv[0]))]
+    raise AssertionError("the oracle failed to split the regular representation")
+
+
+def oracle_witness(tab):
+    """The first non-associative triple of a full N^3 scan, or None."""
+    bad = np.argwhere(tab[tab] != tab[:, tab])
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_inverse_table_equals_composition_loop_bitwise(n):
+    got = from_builtin(f"builtin:symmetric_inverse:{n}").table
+    want = oracle_symmetric_inverse_table(n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def assert_mobius_matches_recursion(st):
+    want = oracle_mobius(st.leq, list(st.nonzero))
+    assert st.mobius.dtype == want.dtype and np.array_equal(st.mobius, want)
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14"))
+def test_mobius_equals_recursion(ref):
+    assert_mobius_matches_recursion(get_structure(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 4))
+def test_mobius_equals_recursion_on_inverse_subsemigroups(data, n):
+    order = get_structure(f"builtin:symmetric_inverse:{n}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+    assert_mobius_matches_recursion(inverse_structure(inverse_subsemigroup(n, gens)))
+
+
+def test_mobius_on_a_semilattice_that_is_not_boolean():
+    # id on {1}, below id on {1,2}, {1,3} and {1,4}, below the identity: mu = 1 - 3 = -2 + 4
+    rook = get_structure("builtin:symmetric_inverse:4").table
+    gens = [rook.index_of(f"[{p}]") for p in ("1>1,2>2,3>3,4>4", "1>1,2>2", "1>1,3>3", "1>1,4>4")]
+    st = inverse_structure(inverse_subsemigroup(4, gens))
+    assert st.mobius[st.table.index_of("[1>1]"), st.table.index_of("[1>1,2>2,3>3,4>4]")] == 2
+    assert_mobius_matches_recursion(st)
+
+
+def corrupted(order, rows):
+    """A null semigroup (every product 0) with cell (r, s) set to s for each r in rows.
+
+    Rows below the first r send every product to 0, so the first witness lies in row r.
+    """
+    tab = np.zeros((order, order), dtype=np.int32)
+    for r in rows:
+        s = 2 if r == 1 else 1
+        tab[r, s] = s
+    return SemigroupTable("corrupted", tuple(map(str, range(order))), 0, tab)
+
+
+@pytest.mark.parametrize("order", [40, 209])
+@pytest.mark.parametrize("row", [0, 15, 16, -1])
+def test_not_associative_carries_the_full_scan_witness(order, row):
+    row %= order
+    for rows in ([row], sorted({row, order - 1})):  # alone, and with a later witness
+        t = corrupted(order, rows)
+        witness = oracle_witness(t.table)
+        assert witness[0] == row
+        with pytest.raises(NotAssociative) as exc:
+            validate_semigroup(t)
+        assert exc.value.args[1] == witness
+
+
+def splitting_groups():
+    yield from (cyclic_group_table(n) for n in range(1, MAX_GROUP_ORDER + 1))
+    for ref in ("builtin:symmetric_inverse:3", "builtin:symmetric_inverse:4"):
+        st = get_structure(ref)
+        yield maximal_subgroup(st, st.idempotents[-1])  # the identity: S_3, S_4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_irreps_are_complete_unitary_and_multiplicative(seed):
+    for group in splitting_groups():
+        reps = unitary_irreps(group, seed)
+        assert sum(r.dim ** 2 for r in reps) == group.order
+        for r in reps:
+            eye = np.eye(r.dim)
+            assert np.abs(r.matrices @ r.matrices.conj().swapaxes(1, 2) - eye).max() <= 1e-10
+            assert np.abs(r.matrices[:, None] @ r.matrices[None, :] - r.matrices[group.table]).max() <= 1e-10
+        if group.name.startswith("Z"):  # the characters are exactly g -> chi(1)^g
+            chars = np.array([r.characters for r in reps])
+            assert np.abs(chars - chars[:, 1 % group.order, None] ** np.arange(group.order)).max() <= 1e-12
+            assert len({_char_key(c[1:2]) for c in chars}) == group.order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("group", [g for g in splitting_groups() if g.order <= 16 or g.order in (24, 6)],
+                         ids=lambda g: f"{g.name}-{g.order}")
+def test_irrep_characters_match_einsum_oracle(group, seed):
+    reps = unitary_irreps(group, seed)
+    want = oracle_irreps(group, seed)
+    assert [r.dim for r in reps] == [m.shape[1] for m in want]
+    for r, m in zip(reps, want):
+        assert np.abs(r.characters - np.einsum("gii->g", m)).max() <= 1e-12
