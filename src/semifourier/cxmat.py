@@ -89,28 +89,34 @@ def hermitized(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None) -> tuple[bool, float, float, float]:
+def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) -> tuple[bool, float, float, float]:
     """PSD verdict of the block-diagonal matrix with these diagonal blocks.
 
     Each entry of ``blocks`` is a square matrix or a stack (k, m, m) of them;
     ``spectra`` holds the ascending eigenvalues of each Hermitized entry and
     is computed when omitted.  Off the blocks the matrix is zero, so its min
     eigenvalue, ||.||_2, hermitian defect and scale are the block-wise min /
-    max of the same quantities.  A non-Hermitian matrix is simply not PSD:
-    the verdict needs defect <= tol * max(1, max-abs entry) and min
-    eigenvalue >= -tol * max(1, ||.||_2).  This is the library's one PSD
-    verdict.  Returns (verdict, min eigenvalue, hermitian defect, ||.||_2).
+    max of the same quantities.  A matrix too large to form may instead be
+    given by a stack of n x n blocks that holds each of its entry blocks,
+    ``mirrors`` by the blocks at the transposed positions, and ``spectra`` by
+    the ascending eigenvalues of the pieces its Hermitized form splits into;
+    the defect is then max |block - mirror^dagger|.  A non-Hermitian matrix
+    is simply not PSD: the verdict needs defect <= tol * max(1, max-abs
+    entry) and min eigenvalue >= -tol * max(1, ||.||_2).  This is the
+    library's one PSD verdict.  Returns (verdict, min eigenvalue, hermitian
+    defect, ||.||_2).
     """
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     if not all(np.isfinite(b).all() for b in blocks):
         raise ValueError("matrix entries must be finite")
     if spectra is None:
         spectra = [np.linalg.eigvalsh(hermitized(b)) for b in blocks]
-    full = [(b, w) for b, w in zip(blocks, spectra) if b.size]
-    defect = max((float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b, _ in full), default=0.0)
-    scale = max([1.0] + [float(np.abs(b).max()) for b, _ in full])
-    lo = min((float(w[..., 0].min()) for _, w in full), default=0.0)
-    norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for _, w in full), default=0.0)
+    pairs = [(b, m) for b, m in zip(blocks, blocks if mirrors is None else mirrors) if b.size]
+    defect = max((float(np.abs(b - m.conj().swapaxes(-1, -2)).max()) for b, m in pairs), default=0.0)
+    scale = max([1.0] + [float(np.abs(b).max()) for b, _ in pairs])
+    spectra = [w for w in spectra if w.size]
+    lo = min((float(w[..., 0].min()) for w in spectra), default=0.0)
+    norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for w in spectra), default=0.0)
     return defect <= tol * scale and lo >= -tol * max(1.0, norm2), lo, defect, norm2
 
 

@@ -141,16 +141,30 @@ def isotypic_bases(reps: list[GroupRep], perms: np.ndarray) -> tuple[tuple[int, 
     multiplicity of rho, so sum_rho d_rho m_rho is the number of points.  By
     Schur's lemma a matrix M that commutes with every Pi_g is unitarily
     equivalent to the direct sum of Q_rho^dagger M Q_rho (x) I_(d_rho).
+    Each Pi_g maps every orbit onto itself, so E_11 is block diagonal over
+    the orbits: its range is found one orbit at a time, the orbits of one
+    size in one stacked eigh, and each column of Q_rho lives on one orbit.
     """
     order, p = perms.shape
     cols = np.broadcast_to(np.arange(p), perms.shape)
+    label = perms.min(axis=0)                      # the least point of each orbit
+    points = np.argsort(label, kind="stable")
+    _, first, sizes = np.unique(label[points], return_index=True, return_counts=True)
+    orbits = [np.stack([points[a : a + size] for a, c in zip(first, sizes) if c == size])
+              for size in np.unique(sizes)]       # (orbits of this size, size) each
     out = []
     for rep in reps:
         e11 = np.zeros((p, p), dtype=complex)
         weights = np.broadcast_to(rep.matrices[:, :1, 0].conj(), perms.shape)
         np.add.at(e11, (perms, cols), weights * (rep.dim / order))
-        w, u = np.linalg.eigh(e11)
-        q = np.ascontiguousarray(u[:, w > 0.5])
+        parts = []
+        for idx in orbits:
+            w, u = np.linalg.eigh(e11[idx[:, :, None], idx[:, None, :]])
+            orbit, col = np.nonzero(w > 0.5)
+            part = np.zeros((p, len(orbit)), dtype=complex)
+            part[idx[orbit].T, np.arange(len(orbit))] = u[orbit, :, col].T
+            parts.append(part)
+        q = np.concatenate(parts, axis=1)
         q.setflags(write=False)
         out.append((rep.dim, q))
     return tuple(out)

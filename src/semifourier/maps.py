@@ -29,7 +29,7 @@ from .errors import (
     WrongSemigroup,
 )
 from .harmonic import GROUPOID, NATURAL, MatrixMap, check_same_semigroup, from_groupoid, to_groupoid
-from .semigroup import InverseStructure, build_matrix_units
+from .semigroup import InverseStructure
 
 
 def convolve(f1: MatrixMap, f2: MatrixMap) -> MatrixMap:
@@ -89,13 +89,10 @@ def tensor_to_map(x: TensorAlgebraElement) -> MatrixMap:
 
 def matrix_units_size(structure: InverseStructure) -> int:
     """Return m when the structure is build_matrix_units(m), else raise."""
-    n = structure.table.order
-    m = round((n - 1) ** 0.5)
-    if m * m + 1 == n:
-        ref = build_matrix_units(m)
-        if structure.table.same_semigroup(ref):
-            return m
-    raise WrongSemigroup("operation requires the matrix-unit semigroup")
+    m = structure.matrix_units_size
+    if m is None:
+        raise WrongSemigroup("operation requires the matrix-unit semigroup")
+    return m
 
 
 def choi(f: MatrixMap) -> BlockTensor:

@@ -61,32 +61,52 @@ def eval_groupoid(f: MatrixMap) -> np.ndarray:
     return combine(f.structure.mobius_float.T, f.values)
 
 
-def _pd_matrix_natural(f: MatrixMap) -> np.ndarray:
-    st = f.structure
-    e = np.asarray(st.nonzero)
-    return block_matrix(eval_natural(f), st.table.table[st.inv[e][:, None], e[None, :]])
-
-
-def _natural_spectra(mat: np.ndarray, f: MatrixMap) -> list[tuple[int, np.ndarray]]:
+def _natural_spectra(f: MatrixMap) -> list[tuple[int, np.ndarray]]:
     """(d_rho, ascending eigenvalues of the rho-block) of the Hermitized natural matrix.
 
-    The rho-block is (Q_rho (x) I_n)^dagger H (Q_rho (x) I_n) with Q_rho from
-    ``InverseStructure.unit_isotypic_bases``; the spectrum of H is the union
-    of the block spectra, each repeated d_rho times.  Q^dagger H Q is the
-    Hermitized Q^dagger mat Q, so only the small blocks are Hermitized.
+    The rho-block is (Q_rho (x) I_n)^dagger N (Q_rho (x) I_n) with Q_rho from
+    ``InverseStructure.unit_isotypic_bases``; the spectrum of N's Hermitized
+    form is the union of the block spectra, each repeated d_rho times.  Since
+    N = zeta^T G zeta (x) I_n with G the groupoid matrix, block diagonal over
+    the R-classes, the rho-block is sum_e W_rho[R_e]^dagger G_e W_rho[R_e]
+    with W_rho from ``unit_isotypic_lifts``; the sum over the classes of one
+    size is one product over (class, element) pairs.  Only the blocks are
+    Hermitized.
     """
-    bases = f.structure.unit_isotypic_bases
-    q_all = np.concatenate([q for _, q in bases], axis=1)
-    (p, m_all), n = q_all.shape, f.dim
-    # Q_rho^dagger on the row elements of every block at once: (m_all, n, p, n)
-    left = (q_all.conj().T @ mat.reshape(p, n * p * n)).reshape(m_all, n, p, n)
-    out, start = [], 0
-    for d, q in bases:
-        m = q.shape[1]
-        rows = left[start : start + m].transpose(0, 1, 3, 2).reshape(m * n * n, p)
-        block = (rows @ q).reshape(m, n, n, m).transpose(0, 1, 3, 2).reshape(m * n, m * n)
-        out.append((d, np.linalg.eigvalsh(hermitized(block))))
-        start += m
+    st, n = f.structure, f.dim
+    lifts = st.unit_isotypic_lifts
+    vals, ij = eval_groupoid(f), np.arange(n)
+    sums = [0.0] * len(lifts)                                   # (m_rho, n n m_rho) each
+    for _, members, products in _r_classes(st, st.idempotents):
+        k, size = members.shape
+        # G_e[(a, i), (b, j)] laid out as (k, size * n * n, size), b last
+        g = vals[products[:, :, None, None, :], ij[:, None, None], ij[:, None]].reshape(k, -1, size)
+        for i, (_, w) in enumerate(lifts):
+            w = w[members]                                      # W_rho[R_e]: (k, size, m_rho)
+            right = (g @ w).reshape(k * size, -1)               # G_e W_rho[R_e], rows (e, a)
+            sums[i] = sums[i] + w.reshape(k * size, -1).conj().T @ right
+    out = []
+    for (d, w), b in zip(lifts, sums):
+        m = w.shape[1]
+        b = b.reshape(m, n, n, m).transpose(0, 1, 3, 2).reshape(m * n, m * n)
+        out.append((d, np.linalg.eigvalsh(hermitized(b))))
+    return out
+
+
+def _r_classes(st: InverseStructure, idempotents) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The R-classes {s : ran s = e} of these idempotents, stacked by size.
+
+    The R-class of e is the row of e in the padded ``groupoid_factors[0]``.
+    Returns, per size, the idempotents, the stack (k, size) of their
+    R-classes and the stack (k, size, size) of the products s^-1 t within each.
+    """
+    idem = np.asarray(idempotents, dtype=np.intp)
+    rows = st.groupoid_factors[0][idem]
+    sizes = (rows != st.zero).sum(axis=1)
+    out = []
+    for size in np.unique(sizes):
+        m = rows[sizes == size, :size]
+        out.append((idem[sizes == size], m, st.table.table[st.inv[m][:, :, None], m[:, None, :]]))
     return out
 
 
@@ -94,22 +114,13 @@ def _r_class_grams(f: MatrixMap, idempotents) -> list[tuple[np.ndarray, np.ndarr
     """The blocks [Lambda(floor(s^-1) floor(t))] over the R-classes {s : ran s = e}.
 
     floor(s^-1) floor(t) = floor(s^-1 t) if ran s = ran t and 0 otherwise, so
-    the groupoid PD matrix is block diagonal over these R-classes.  The R-class
-    of e is the row of e in the padded ``groupoid_factors[0]``; the classes of
-    one size are gathered in one stack.  Returns, per size, the idempotents
+    the groupoid PD matrix is block diagonal over these R-classes; the classes
+    of one size are gathered in one stack.  Returns, per size, the idempotents
     and the stack (len(idempotents), size * n, size * n) of their blocks.
     """
-    st = f.structure
-    idem = np.asarray(idempotents, dtype=np.intp)
-    rows = st.groupoid_factors[0][idem]
-    sizes = (rows != st.zero).sum(axis=1)
     vals = eval_groupoid(f)
-    out = []
-    for size in np.unique(sizes):
-        m = rows[sizes == size, :size]
-        idx = st.table.table[st.inv[m][:, :, None], m[:, None, :]]
-        out.append((idem[sizes == size], block_matrix(vals, idx)))
-    return out
+    return [(es, block_matrix(vals, products))
+            for es, _, products in _r_classes(f.structure, idempotents)]
 
 
 @dataclass(frozen=True)
@@ -126,14 +137,18 @@ class PDSlice:
 def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> PDSlice:
     """Positive-definiteness of the linear map f denotes, one mode at a time.
 
-    natural: PSD test of [Lambda(s^-1 s')], the definition's own check.
-    Left multiplication by a unit g permutes the nonzero elements and keeps
-    s^-1 s', so by Schur's lemma the Hermitized matrix splits unitarily into
-    one block per irrep rho of the unit group (Gatermann-Parrilo symmetry
-    reduction), each repeated d_rho times.  The spectrum is taken from those
-    blocks, so the witness and ||.||_2 are the dense ones up to rounding; the
-    hermitian defect and scale are scans of the matrix itself.  Without an
-    identity the group is trivial and the one block is the whole matrix.
+    natural: PSD test of N = [Lambda(s^-1 s')], the definition's own check,
+    without forming N.  Left multiplication by a unit g permutes the nonzero
+    elements and keeps s^-1 s', so by Schur's lemma the Hermitized N splits
+    unitarily into one block per irrep rho of the unit group
+    (Gatermann-Parrilo symmetry reduction), each repeated d_rho times.  Each
+    block is assembled from the groupoid R-class blocks, since
+    s = sum_{a <= s} floor(a) (Steinberg 2006), so the witness and ||.||_2
+    are the dense ones up to rounding.  N holds Lambda(u) at (s, s') and
+    Lambda(u^-1) at (s', s) for u = s^-1 s', so its hermitian defect is
+    max |Lambda(u) - Lambda(u^-1)^dagger| over the |S| values; the defect
+    and the scale equal the dense scans exactly.  Without an identity, or
+    with a unit group above order 48, the group is trivial: one block.
     groupoid: PSD test of [Lambda(floor(s^-1) floor(s'))].  That matrix is
     block diagonal over the R-classes {s : ran s = e}, so it is judged one
     R-class block at a time; the verdict, witness and defect are those of
@@ -147,9 +162,10 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
         raise ValueError(f"unknown pd mode {mode!r}")
     st = f.structure
     if mode == "natural":
-        mat = _pd_matrix_natural(f)
-        spectrum = np.sort(np.concatenate([w for _, w in _natural_spectra(mat, f)]))
-        ok, lo, defect, _ = psd_verdict([mat], tol, [spectrum])
+        # the entries of N: Lambda(u) at each nonzero u = ran(u)^-1 u, and 0 = Lambda(z)
+        vals = eval_natural(f)
+        spectra = [w for _, w in _natural_spectra(f)]
+        ok, lo, defect, _ = psd_verdict([vals], tol, spectra, mirrors=[vals[st.inv]])
         return PDSlice(mode, ok, lo, defect)
     if mode == "groupoid":
         ok, lo, defect, _ = psd_verdict([g for _, g in _r_class_grams(f, st.idempotents)], tol)

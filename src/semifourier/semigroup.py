@@ -393,6 +393,29 @@ class InverseStructure:
             perms = np.arange(len(nz))[None, :]
         return isotypic_bases(unitary_irreps(group, seed=0), perms)
 
+    @cached_property
+    def unit_isotypic_lifts(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(d_rho, W_rho = zeta Q_rho) per (d_rho, Q_rho) of ``unit_isotypic_bases``.
+
+        zeta[a, s] = [a <= s] writes each natural element in the groupoid
+        basis, s = sum_{a <= s} floor(a), so the natural PD matrix is
+        zeta^T G zeta (x) I_n with G the groupoid PD matrix, and its rho-block
+        is W_rho^dagger G W_rho (x) I_n.  Rows run over all elements, zero at z.
+        """
+        zeta = self.leq_float[:, list(self.nonzero)]
+        out = tuple((d, zeta @ q) for d, q in self.unit_isotypic_bases)
+        for _, w in out:
+            w.setflags(write=False)
+        return out
+
+    @cached_property
+    def matrix_units_size(self) -> int | None:
+        """m when the table is that of ``build_matrix_units(m)``, else None."""
+        m = round((self.table.order - 1) ** 0.5)
+        if m * m + 1 == self.table.order and self.table.same_semigroup(build_matrix_units(m)):
+            return m
+        return None
+
     def mul(self, a: int, b: int) -> int:
         return self.table.mul(a, b)
 

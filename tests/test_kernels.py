@@ -34,7 +34,6 @@ from semifourier.positivity import (
     Dilation,
     MatrixAlgebraRep,
     _natural_spectra,
-    _pd_matrix_natural,
     _r_class_grams,
     bochner_check,
     conjugation_rep,
@@ -116,6 +115,13 @@ def oracle_pd_groupoid(st, vals, elements):
             if st.ran[s] == st.ran[t]:
                 big[a * n : (a + 1) * n, b * n : (b + 1) * n] = vals[st.mul(int(st.inv[s]), t)]
     return big
+
+
+def pd_matrix_natural(f):
+    """The dense natural PD matrix [Lambda(s^-1 t)] over the nonzero elements, in one gather."""
+    st = f.structure
+    e = np.asarray(st.nonzero)
+    return block_matrix(eval_natural(f), st.table.table[st.inv[e][:, None], e[None, :]])
 
 
 def pd_matrix_groupoid(f, elements):
@@ -253,7 +259,7 @@ def test_tensor_mul_matches_pair_sum(ref, n):
 def test_pd_matrices_equal_loop_assembly_bitwise(ref, n, basis):
     st = get_structure(ref)
     f = random_map(st, n, 5, basis)
-    assert np.array_equal(_pd_matrix_natural(f), oracle_pd_natural(st, eval_natural(f)))
+    assert np.array_equal(pd_matrix_natural(f), oracle_pd_natural(st, eval_natural(f)))
     assert np.array_equal(
         pd_matrix_groupoid(f, st.nonzero), oracle_pd_groupoid(st, eval_groupoid(f), st.nonzero)
     )
@@ -481,14 +487,14 @@ def units(st):
 @pytest.mark.parametrize("ref,n", NATURAL_CASES)
 def test_pd_natural_blocks_match_dense_oracle(ref, n, kind):
     f = pd_input(ref, n, kind)
-    mat = _pd_matrix_natural(f)
+    mat = pd_matrix_natural(f)
     ok, lo, defect, norm2 = oracle_verdict(mat)
     got = pd_check(f, "natural")
     assert (got.verdict, got.hermitian_defect) == (ok, defect)
     assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
 
     # each block's spectrum, repeated d_rho times, is the dense spectrum
-    spectra = _natural_spectra(mat, f)
+    spectra = _natural_spectra(f)
     blocks = np.sort(np.concatenate([np.repeat(w, d) for d, w in spectra]))
     dense = np.linalg.eigvalsh(hermitized(mat))
     assert np.abs(blocks - dense).max() <= 1e-10 * max(1.0, norm2)
@@ -502,10 +508,40 @@ def test_pd_natural_unit_group_above_the_cap_is_trivial():
     ((d, q),) = st.unit_isotypic_bases
     assert d == 1 and np.array_equal(np.abs(q), np.eye(len(st.nonzero)))
     for f in (random_map(st, 2, 3), gram_pd_map(st, 2, seed=3)):
-        ok, lo, defect, norm2 = oracle_verdict(_pd_matrix_natural(f))
+        ok, lo, defect, norm2 = oracle_verdict(pd_matrix_natural(f))
         got = pd_check(f, "natural")
         assert (got.verdict, got.hermitian_defect) == (ok, defect)
         assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=hst.data(),
+    degree=hst.integers(1, 4),
+    n=hst.integers(1, 2),
+    kind=hst.sampled_from(["natural", "groupoid", "gram"]),
+    seed=hst.integers(0, 2**16),
+)
+def test_pd_natural_on_inverse_subsemigroups_matches_dense_oracle(data, degree, n, kind, seed):
+    order = get_structure(f"builtin:symmetric_inverse:{degree}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+    st = inverse_structure(inverse_subsemigroup(degree, gens))
+    # random_map draws a value at z too; the map keeps that slot 0, and the dense
+    # matrix reads it wherever s^-1 t = z
+    f = gram_pd_map(st, n, seed=seed) if kind == "gram" else random_map(st, n, seed, kind)
+    mat = pd_matrix_natural(f)
+    ok, lo, defect, norm2 = oracle_verdict(mat)
+    got = pd_check(f, "natural")
+    assert (got.verdict, got.hermitian_defect) == (ok, defect)
+    assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
+    spectra = _natural_spectra(f)
+    blocks = np.sort(np.concatenate([np.repeat(w, d) for d, w in spectra]))
+    assert np.abs(blocks - np.linalg.eigvalsh(hermitized(mat))).max() <= 1e-10 * max(1.0, norm2)
+
+    vals = f.values.copy()
+    vals[data.draw(hst.sampled_from(st.nonzero))] = data.draw(hst.sampled_from([np.nan, np.inf]))
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        pd_check(MatrixMap(st, n, f.basis, vals), "natural")
 
 
 @settings(max_examples=30, deadline=None)
@@ -519,7 +555,7 @@ def test_natural_matrix_is_unit_invariant_and_the_bases_split_it(ref, n, seed, b
     st = get_structure(ref)
     f = random_map(st, n, seed, basis)
     p = len(st.nonzero)
-    mat = _pd_matrix_natural(f).reshape(p, n, p, n)
+    mat = pd_matrix_natural(f).reshape(p, n, p, n)
     pos = {s: i for i, s in enumerate(st.nonzero)}
     for g in units(st):
         # N[gs, gt] = N[s, t]: (gs)^-1 (gt) = s^-1 t

@@ -174,6 +174,14 @@ def test_choi_requires_matrix_units(i2):
         matrix_units_size(i2)
 
 
+def test_matrix_units_size_is_cached_on_the_structure(i2, mu2):
+    assert matrix_units_size(mu2) == mu2.matrix_units_size == 2
+    assert i2.matrix_units_size is None
+    # I_1 = {z, 1} has the order of matrix_units:1 but not its names
+    assert get_structure("builtin:symmetric_inverse:1").matrix_units_size is None
+    assert get_structure("builtin:matrix_units:1").matrix_units_size == 1
+
+
 def test_choi_invert_identity_roundtrip():
     st = get_structure("builtin:matrix_units:2")
     rng = np.random.default_rng(31)
