@@ -3,7 +3,8 @@
 Verb-style subcommands load semigroups and maps from files (or builtin
 references), run the analyses and emit deterministic JSON or text reports.
 Exit codes: 0 analysis completed (verdicts live in the payload), 2 parse
-error, 3 invalid algebraic structure, 4 precondition failure.
+error (only while the inputs are loaded), 3 invalid algebraic structure,
+4 precondition failure, 5 internal failure (a bug signal).
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cxmat import DEFAULT_TOL
-from .errors import PRECONDITION_ERRORS, STRUCTURE_ERRORS, Error, NotPositiveDefinite
+from .errors import PRECONDITION_ERRORS, STRUCTURE_ERRORS, Error, NotPositiveDefinite, ParseError
 from .harmonic import (
     fourier_transform_all,
     from_groupoid,
@@ -47,6 +49,7 @@ from .semigroup import groupoid_basis_matrices, inverse_structure, maximal_subgr
 PARSE_EXIT = 2
 STRUCTURE_EXIT = 3
 PRECONDITION_EXIT = 4
+INTERNAL_EXIT = 5
 
 
 def _fail(code: int, kind: str, exc: BaseException | str) -> int:
@@ -56,9 +59,25 @@ def _fail(code: int, kind: str, exc: BaseException | str) -> int:
         error["witness"] = exc.args[1]
     else:
         error["message"] = str(exc)
+    if code == INTERNAL_EXIT:  # where it happened, as data rather than a printed traceback
+        error["frames"] = [f"{Path(fr.filename).name}:{fr.lineno} {fr.name}"
+                           for fr in traceback.extract_tb(exc.__traceback__)]
     diag = {"error": error}
     sys.stderr.write(json.dumps(diag, sort_keys=True, default=str) + "\n")
     return code
+
+
+def _parse(load, *args):
+    """Run one loader of the parse phase (``load_map``, ``load_rep``,
+    ``resolve_semigroup``).  Its untyped failures (an unreadable file, bad
+    JSON, a missing key, a malformed table or value) become ParseError; the
+    library's typed errors pass through."""
+    try:
+        return load(*args)
+    except Error:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _render_text(obj, indent: str = "") -> str:
@@ -111,7 +130,7 @@ def _residual_summary(a: np.ndarray, b: np.ndarray) -> float:
 # --- subcommand implementations ---------------------------------------------
 
 def cmd_analyze(args) -> dict:
-    table = resolve_semigroup(args.semigroup, Path.cwd())
+    table = _parse(resolve_semigroup, args.semigroup, Path.cwd())
     st = inverse_structure(table)
     names = table.element_names
     reps = induced_irreps(st, seed=args.seed)
@@ -153,7 +172,7 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_fourier(args) -> dict:
-    f = load_map(args.map)
+    f = _parse(load_map, args.map)
     st = f.structure
     reps = induced_irreps(st, seed=args.seed)
     data = fourier_transform_all(f, reps)
@@ -177,7 +196,7 @@ def cmd_fourier(args) -> dict:
 
 
 def cmd_invert(args) -> dict:
-    f = load_map(args.map)
+    f = _parse(load_map, args.map)
     st = f.structure
     reps = induced_irreps(st, seed=args.seed)
     data = fourier_transform_all(f, reps)
@@ -193,8 +212,8 @@ def cmd_invert(args) -> dict:
 
 
 def cmd_plancherel(args) -> dict:
-    f = load_map(args.map)
-    g = load_map(args.map2)
+    f = _parse(load_map, args.map)
+    g = _parse(load_map, args.map2)
     reps = induced_irreps(f.structure, seed=args.seed)
     lhs, rhs, residual = plancherel_check(f, g, reps)
     return {
@@ -205,8 +224,8 @@ def cmd_plancherel(args) -> dict:
 
 
 def cmd_convolve(args) -> dict:
-    f = load_map(args.map)
-    g = load_map(args.map2)
+    f = _parse(load_map, args.map)
+    g = _parse(load_map, args.map2)
     conv = convolve(f, g)
     reps = induced_irreps(f.structure, seed=args.seed)
     worst = 0.0
@@ -222,7 +241,7 @@ def cmd_convolve(args) -> dict:
 
 
 def cmd_check(args) -> dict:
-    f = load_map(args.map)
+    f = _parse(load_map, args.map)
     tol = args.tol
     if args.which == "pd":
         slices = {mode: pd_check(f, mode, tol) for mode in ("natural", "groupoid", "blocks")}
@@ -252,7 +271,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_stinespring(args) -> dict:
-    f = load_map(args.map)
+    f = _parse(load_map, args.map)
     if f.basis != "groupoid":
         f = to_groupoid(f)
     try:
@@ -265,7 +284,7 @@ def cmd_stinespring(args) -> dict:
 
 
 def cmd_cpprobe(args) -> dict:
-    rho = load_rep(args.rep)
+    rho = _parse(load_rep, args.rep)
     from .semigroup import build_matrix_units
 
     st = inverse_structure(build_matrix_units(rho.m))
@@ -341,14 +360,15 @@ def main(argv=None) -> int:
         return _fail(PARSE_EXIT, "BadTolerance", "tol must be positive")
     args._inputs = args.inputs(args)
     try:
-        result = args.func(args)
-    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        return _fail(PARSE_EXIT, type(exc).__name__, exc)
+        _emit(args, args.command, args.func(args))
+    except ParseError as exc:
+        return _fail(PARSE_EXIT, type(exc.__cause__).__name__, exc.__cause__)
     except STRUCTURE_ERRORS as exc:
         return _fail(STRUCTURE_EXIT, type(exc).__name__, exc)
     except PRECONDITION_ERRORS as exc:
         return _fail(PRECONDITION_EXIT, type(exc).__name__, exc)
-    _emit(args, args.command, result)
+    except Exception as exc:  # InternalInconsistency, ReconstructionFailure, or a bug
+        return _fail(INTERNAL_EXIT, type(exc).__name__, exc)
     return 0
 
 

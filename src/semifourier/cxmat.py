@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotFinite, NotHermitian
 
 # Global default: comparisons are relative to max(1, scale) at this tolerance.
 DEFAULT_TOL = 1e-9
@@ -22,7 +22,7 @@ def as_cmatrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     return m
 
 
@@ -108,7 +108,7 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     """
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     if not all(np.isfinite(b).all() for b in blocks):
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     if spectra is None:
         spectra = [np.linalg.eigvalsh(hermitized(b)) for b in blocks]
     pairs = [(b, m) for b, m in zip(blocks, blocks if mirrors is None else mirrors) if b.size]

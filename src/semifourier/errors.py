@@ -5,6 +5,13 @@ class Error(Exception):
     """Base class for all errors raised by this package."""
 
 
+# --- unreadable input (CLI exit code 2) ---
+
+class ParseError(Error):
+    """An input file or reference could not be read; raised from the CLI's
+    loaders with the underlying failure as its cause."""
+
+
 # --- invalid algebraic structure (CLI exit code 3) ---
 
 class NotAssociative(Error):
@@ -80,6 +87,14 @@ class NotARepresentation(Error):
     pass
 
 
+class NotFinite(Error, ValueError):
+    """A matrix or map holds a NaN or an infinite entry."""
+
+
+class UnknownMode(Error, ValueError):
+    """A mode name that the function does not know."""
+
+
 PRECONDITION_ERRORS = (
     SizeLimit,
     AlreadyHasZero,
@@ -95,10 +110,13 @@ PRECONDITION_ERRORS = (
     IndexOutOfRange,
     NotPositiveDefinite,
     NotARepresentation,
+    NotFinite,
+    UnknownMode,
 )
 
 
-# --- internal-consistency failures: these signal a bug, not a data condition ---
+# --- internal-consistency failures: these signal a bug, not a data condition
+# (CLI exit code 5, as is any exception the library does not type) ---
 
 class InternalInconsistency(Error):
     pass

@@ -19,6 +19,7 @@ from .cxmat import BlockTensor
 from .errors import (
     DimensionMismatch,
     IncompleteIrrepSet,
+    NotFinite,
     SemigroupMismatch,
     WrongBasis,
 )
@@ -33,7 +34,8 @@ GROUPOID = "groupoid"
 class MatrixMap:
     """A linear map C0[S] -> M_n given by one n x n value per nonzero element.
 
-    ``values`` has shape (|S|, n, n); the slot at the zero element stays 0.
+    ``values`` has shape (|S|, n, n) and is finite; the slot at the zero
+    element stays 0.
     ``basis`` says whether values[s] is Phi(s) or PhiT(floor(s)).
     """
 
@@ -53,6 +55,8 @@ class MatrixMap:
             raise WrongBasis(f"unknown basis tag {self.basis!r}")
         v = v.copy()
         v[self.structure.zero] = 0.0
+        if not np.isfinite(v).all():
+            raise NotFinite("map values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -11,7 +11,8 @@ V^dagger pi(.) V via a GNS quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     NotARepresentation,
     NotPositiveDefinite,
     ReconstructionFailure,
+    UnknownMode,
     WrongBasis,
     WrongSemigroup,
 )
@@ -134,6 +136,11 @@ class PDSlice:
     per_class: tuple[tuple[int, bool, float], ...] | None = None
 
 
+def _discrete_order(st: InverseStructure) -> bool:
+    """Whether the natural order is equality (zeta = I), as on matrix units."""
+    return int(np.count_nonzero(st.leq)) == len(st.nonzero)
+
+
 def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> PDSlice:
     """Positive-definiteness of the linear map f denotes, one mode at a time.
 
@@ -148,32 +155,38 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
     Lambda(u^-1) at (s', s) for u = s^-1 s', so its hermitian defect is
     max |Lambda(u) - Lambda(u^-1)^dagger| over the |S| values; the defect
     and the scale equal the dense scans exactly.  Without an identity, or
-    with a unit group above order 48, the group is trivial: one block.
+    with a unit group above order 48, the group is trivial: one block.  When
+    the natural order is discrete, floor(s) = s and N is the groupoid
+    matrix, so it is judged as in groupoid mode.
     groupoid: PSD test of [Lambda(floor(s^-1) floor(s'))].  That matrix is
-    block diagonal over the R-classes {s : ran s = e}, so it is judged one
-    R-class block at a time; the verdict, witness and defect are those of
-    the whole matrix.
+    block diagonal over the R-classes {s : ran s = e}, and the R-blocks of
+    one D-class are one matrix up to a permutation, since s -> p s keeps
+    s^-1 s'; so each class is judged by the R-block of its base idempotent
+    alone.  The verdict and defect are those of the whole matrix, and the
+    witness is its min eigenvalue up to rounding.
     blocks: the groupoid matrix restricted to each D-class separately (it is
-    block diagonal across classes).  The R-blocks of one D-class are one
-    matrix up to a permutation, since s -> p s keeps s^-1 s', so each class
-    is judged by the R-block of its base idempotent alone.
+    block diagonal across classes), from the same base R-blocks.
     """
     if mode not in PD_MODES:
-        raise ValueError(f"unknown pd mode {mode!r}")
+        raise UnknownMode(f"unknown pd mode {mode!r}")
     st = f.structure
-    if mode == "natural":
+    if mode == "natural" and not _discrete_order(st):
         # the entries of N: Lambda(u) at each nonzero u = ran(u)^-1 u, and 0 = Lambda(z)
         vals = eval_natural(f)
         spectra = [w for _, w in _natural_spectra(f)]
         ok, lo, defect, _ = psd_verdict([vals], tol, spectra, mirrors=[vals[st.inv]])
         return PDSlice(mode, ok, lo, defect)
-    if mode == "groupoid":
-        ok, lo, defect, _ = psd_verdict([g for _, g in _r_class_grams(f, st.idempotents)], tol)
+    # s -> p_e s maps the R-class of a class's base idempotent onto that of
+    # its idempotent e and keeps s^-1 t: one R-block stands for the class
+    grams = _r_class_grams(f, st.base_idempotents)
+    spectra = [np.linalg.eigvalsh(hermitized(g)) for _, g in grams]
+    if mode != "blocks":
+        ok, lo, defect, _ = psd_verdict([g for _, g in grams], tol, spectra)
         return PDSlice(mode, ok, lo, defect)
     per = []
     worst_defect = 0.0
-    for es, grams in _r_class_grams(f, st.base_idempotents):
-        for e, g, w in zip(es, grams, np.linalg.eigvalsh(hermitized(grams))):
+    for (es, stack), ws in zip(grams, spectra):
+        for e, g, w in zip(es, stack, ws):
             ok, lo, defect, _ = psd_verdict([g], tol, [w])
             per.append((int(st.class_of[e]), ok, lo))
             worst_defect = max(worst_defect, defect)
@@ -238,15 +251,41 @@ def bochner_check(
 
 @dataclass(frozen=True)
 class Dilation:
-    """GNS dilation data: Phi(floor(s)) = V^dagger pi(floor(s)) V."""
+    """GNS dilation data: Phi(floor(s)) = V^dagger pi(floor(s)) V.
 
+    The dilation space is the direct sum of the summands H_e over the nonzero
+    idempotents e, in ascending order of e; H_e has dimension dims[e] and
+    starts at offsets[e].  pi(s) sends H_dom(s) to H_ran(s) and kills every
+    other summand, so only that block is stored, in a stack zero-padded to
+    the widest summand: ``block(s)``.  ``pi`` assembles the dense
+    (|S|, dim, dim) array, zero slot unused, on first read.
+    """
+
+    structure: InverseStructure = field(repr=False)
     dim: int
     v: np.ndarray                     # (dim, n)
-    pi: np.ndarray                    # (|S|, dim, dim), zero slot unused
+    blocks: np.ndarray                # (|S|, width, width); pi(s) at the top left
+    dims: np.ndarray                  # (|S|,) d_e at each nonzero idempotent e, else 0
+    offsets: np.ndarray               # (|S|,) start of H_e at each nonzero idempotent e
     reconstruction_residual: float
     identity_residual: float          # || V^dagger V - Phi(identity) ||
     multiplicativity_residual: float
     star_residual: float
+
+    def block(self, s: int) -> np.ndarray:
+        """pi(s) from H_dom(s) to H_ran(s): a d_ran(s) x d_dom(s) matrix."""
+        st = self.structure
+        return self.blocks[s, : self.dims[st.ran[s]], : self.dims[st.dom[s]]]
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        st, dims, off = self.structure, self.dims, self.offsets
+        pi = np.zeros((st.table.order, self.dim, self.dim), dtype=complex)
+        for s in st.nonzero:
+            a, b = st.ran[s], st.dom[s]
+            pi[s, off[a] : off[a] + dims[a], off[b] : off[b] + dims[b]] = self.block(s)
+        pi.setflags(write=False)
+        return pi
 
 
 def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
@@ -254,35 +293,35 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
 
     The Gram matrix of the sesquilinear form is block diagonal over the
     ran-idempotents, since floor(s^-1) floor(t) = 0 unless ran(s) = ran(t).
-    Each block G_e, over the R-class {s : ran(s) = e}, is eigendecomposed on
-    its own; eigenpairs above tol * ||G||_2 span the summand H_e of the
-    quotient, and the basis of H runs through the H_e in ascending order of
-    e.  pi(s) compresses left multiplication by s, which sends H_dom(s) to
-    H_ran(s) and kills every other summand, so it is one d_ran(s) x d_dom(s)
-    block; V is the class of (identity (x) x).  All invariants are verified a
-    posteriori on the blocks and their residuals recorded.
+    The block G_e is over the R-class {s : ran(s) = e}; eigenpairs above
+    tol * ||G||_2 span the summand H_e of the quotient.  Only the block of
+    each D-class's base idempotent b is eigendecomposed: s -> p_e s maps the
+    R-class of b onto that of e and keeps s^-1 t, so the eigenvectors of G_b,
+    moved to p_e s, are those of G_e, with the same eigenvalues and so the
+    same kept dimension.  pi(s) compresses left multiplication by s, which
+    sends H_dom(s) to H_ran(s), to one d_ran(s) x d_dom(s) block; V is the
+    class of (identity (x) x).  All invariants are verified a posteriori on
+    the blocks and their residuals recorded.
     """
     if f.basis != GROUPOID:
         raise WrongBasis("stinespring expects a groupoid-basis map")
     st = f.structure
-    n, order = f.dim, st.table.order
+    n, order, tab = f.dim, st.table.order, st.table.table
     r_classes = st.groupoid_factors[0]
-    members = [r_classes[e][r_classes[e] != st.zero] for e in st.idempotents]
-    grams = _r_class_grams(f, st.idempotents)
+    grams = _r_class_grams(f, st.base_idempotents)
     stacked = [np.linalg.eigh(hermitized(g)) for _, g in grams]
     ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [w for w, _ in stacked])
     if not ok:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
-    eig_at = {}                                          # idempotent e -> eigh of G_e
-    for (es, _), (w, u) in zip(grams, stacked):
-        eig_at.update(zip(es.tolist(), zip(w, u)))
-    eigs = [eig_at[e] for e in st.idempotents]
-    keep = [w > tol * max(1.0, norm2) for w, _ in eigs]
-    idem = np.array(st.idempotents, dtype=np.intp)
     dims = np.zeros(order, dtype=int)                    # d_e at each idempotent e
-    dims[idem] = [int(k.sum()) for k in keep]
+    kept = []
+    for (es, _), (w, u) in zip(grams, stacked):
+        for e, we, ue in zip(es, w, u):
+            keep = we > tol * max(1.0, norm2)
+            dims[e] = int(keep.sum())
+            kept.append((e, we[keep], ue[:, keep]))
     width = int(dims.max())
 
     # per element u and coordinate i, the coordinates of [floor(u) (x) x_i] in
@@ -290,13 +329,21 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     # padded to the widest summand and zero at z to absorb padding
     coords_at = np.zeros((order, n, width), dtype=complex)
     lift_at = np.zeros((order, n, width), dtype=complex)
-    for e, m, (w, u), k in zip(st.idempotents, members, eigs, keep):
-        d, wk, uk = dims[e], w[k], u[:, k]
+    for e, wk, uk in kept:
+        m, d = r_classes[e][r_classes[e] != st.zero], dims[e]
         coords_at[m, :, :d] = (np.sqrt(wk)[None, :] * uk.conj()).reshape(len(m), n, d)
         lift_at[m, :, :d] = (uk / np.sqrt(wk)[None, :]).reshape(len(m), n, d)
+    # move the base R-classes to the others: u -> p_e u, padding z -> z
+    idem = np.array(st.idempotents, dtype=np.intp)
+    base = np.array(st.base_idempotents, dtype=np.intp)[st.class_of[idem]]
+    p = np.array([st.transversals[e] for e in st.idempotents], dtype=np.intp)
+    moved = tab[p[:, None], r_classes[base]]
+    coords_at[moved] = coords_at[r_classes[base]]
+    lift_at[moved] = lift_at[r_classes[base]]
+    dims[idem] = dims[base]
     # left multiplication by s sends floor(t) to floor(u) for u in the R-class
     # of s and t = s^-1 u: one batched product over the padded R-class rows
-    t = st.table.table[st.inv[:, None], r_classes]
+    t = tab[st.inv[:, None], r_classes]
     rows = r_classes.shape[1] * n
     gathered = coords_at[r_classes].reshape(order, rows, width).transpose(0, 2, 1)
     blocks = gathered @ lift_at[t].reshape(order, rows, width)  # pi(s): H_dom(s) -> H_ran(s)
@@ -310,24 +357,19 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     # pi(s) pi(t) is the zero block by construction unless dom(s) = ran(t),
     # and then st is nonzero: check pi(s) pi(t) = pi(st) per middle idempotent
     mult = 0.0
-    for e, m in zip(st.idempotents, members):
-        d = dims[e]
+    for e in st.idempotents:
+        m, d = r_classes[e][r_classes[e] != st.zero], dims[e]
         left = np.flatnonzero(st.dom == e)
         prod = blocks[left][:, None, :, :d] @ blocks[m][None, :, :d, :]
-        target = blocks[st.table.table[left[:, None], m[None, :]]]
+        target = blocks[tab[left[:, None], m[None, :]]]
         mult = max(mult, float(np.abs(prod - target).max(initial=0.0)))
 
-    # the dense dilation: summands at offsets in ascending order of e
-    ends = np.cumsum(dims)
-    starts = ends - dims
-    dim = int(ends[-1])
+    # V on the summands at their offsets, in ascending order of e
+    offsets = np.cumsum(dims) - dims
+    dim = int(dims.sum())
     v = np.zeros((dim, n), dtype=complex)
     for e in idem:
-        v[starts[e] : ends[e]] = v_at[e, : dims[e]]
-    pi = np.zeros((order, dim, dim), dtype=complex)
-    for s in st.nonzero:
-        a, b = st.ran[s], st.dom[s]
-        pi[s, starts[a] : ends[a], starts[b] : ends[b]] = blocks[s, : dims[a], : dims[b]]
+        v[offsets[e] : offsets[e] + dims[e]] = v_at[e, : dims[e]]
 
     phi_identity = f.values[idem].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
@@ -337,7 +379,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise ReconstructionFailure(
             f"dilation reconstruction residual {recon:.3e} exceeds {bound:.3e}"
         )
-    return Dilation(dim, v, pi, recon, ident, mult, star)
+    return Dilation(st, dim, v, blocks, dims, offsets, recon, ident, mult, star)
 
 
 # --- CP checks on matrix units ----------------------------------------------

@@ -412,7 +412,7 @@ class InverseStructure:
     def matrix_units_size(self) -> int | None:
         """m when the table is that of ``build_matrix_units(m)``, else None."""
         m = round((self.table.order - 1) ** 0.5)
-        if m * m + 1 == self.table.order and self.table.same_semigroup(build_matrix_units(m)):
+        if m >= 1 and m * m + 1 == self.table.order and self.table.same_semigroup(build_matrix_units(m)):
             return m
         return None
 
@@ -487,7 +487,10 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
     pos = np.zeros(n, dtype=np.intp)
     pos[idems] = np.arange(len(idems))
     mu_e = _semilattice_mobius(leq[np.ix_(idems, idems)])
-    mobius = np.where(leq, mu_e[pos[ran][:, None], pos[ran][None, :]], 0)
+    if idems.size:
+        mobius = np.where(leq, mu_e[pos[ran][:, None], pos[ran][None, :]], 0)
+    else:  # {z} alone: no nonzero element, no comparable pair
+        mobius = np.zeros((n, n), dtype=np.int64)
 
     # D-relation: s D t iff some x has dom(x) = ran(s) and ran(x) = ran(t)
     linked = np.zeros((n, n), dtype=bool)

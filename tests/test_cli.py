@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from semifourier import cli
 from semifourier.cli import main
+from semifourier.errors import InternalInconsistency
 from semifourier.harmonic import MatrixMap
 from semifourier.jsonio import load_map, save_map
 from semifourier.semigroup import MAX_ORDER
@@ -73,6 +75,68 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["analyze", path], capsys)
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]",                                                          # not an object
+    '{"elements": ["z", "a"], "zero": "z"}',                           # no table
+    '{"elements": ["z", "a"], "zero": "z", "table": [[0]]}',           # table of the wrong shape
+    '{"elements": ["z", "a"], "zero": "y", "table": [[0, 0], [0, 1]]}',  # unknown zero
+])
+def test_malformed_semigroup_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, out, err = run_cli(["analyze", path], capsys)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(["check", tmp_path / "absent.json"], capsys)
+    assert code == 2 and json.loads(err)["error"]["kind"] == "FileNotFoundError"
+
+
+def test_one_element_semigroup_gets_a_verdict(tmp_path, capsys):
+    # {z}: no nonzero element, so no idempotent, D-class or irrep, and 0 = 0 squares
+    table = {"elements": ["z"], "zero": "z", "table": [[0]]}
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(table))
+    result = run_json(["analyze", path], capsys)["result"]
+    assert result["order"] == 1 and result["dclasses"] == [] and result["irrep_dims"] == []
+    assert result["wedderburn"] == {"sum_d_squared": 0, "expected": 0, "ok": True}
+    mpath = tmp_path / "zmap.json"
+    mpath.write_text(json.dumps({"semigroup": table, "target_dim": 2, "basis": "groupoid", "values": {}}))
+    assert run_json(["check", mpath, "--which", "pd"], capsys)["result"]["agree"]
+    assert run_json(["stinespring", mpath], capsys)["result"]["dilation_dim"] == 0
+    code, _, err = run_cli(["check", mpath, "--which", "cp"], capsys)
+    assert (code, json.loads(err)["error"]["kind"]) == (4, "WrongSemigroup")
+
+
+def test_non_finite_map_is_a_precondition_failure(tmp_path, capsys):
+    # NaN is valid JSON to Python's reader; the PSD verdict refuses it with a typed error
+    obj = json.loads((SAMPLE_DATA / "gram_i2_seed0.json").read_text())
+    name = next(iter(obj["values"]))
+    obj["values"][name][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    for which in ("pd", "bochner"):
+        code, _, err = run_cli(["check", path, "--which", which], capsys)
+        assert (code, json.loads(err)["error"]["kind"]) == (4, "NotFinite")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("late"), KeyError("k"),
+                                 InternalInconsistency("disagree")])
+def test_failure_after_parsing_exits_5(monkeypatch, capsys, exc):
+    # an exception past the parse phase is internal: exit 5, one JSON line, no traceback
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "induced_irreps", broken)
+    code, out, err = run_cli(["analyze", "builtin:matrix_units:2"], capsys)
+    assert code == 5 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == type(exc).__name__
+    assert error["frames"][-1].startswith("test_cli.py:") and error["frames"][-1].endswith(" broken")
 
 
 def test_invert_roundtrip_residual(capsys):

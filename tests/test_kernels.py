@@ -6,12 +6,15 @@ must match it bitwise; kernels that sum products in another order, or solve
 for eigenvalues block by block, must match it to 1e-12 relative.
 """
 
+import tracemalloc
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from semifourier.cxmat import DEFAULT_TOL, block_matrix, hermitized
+from semifourier.cxmat import DEFAULT_TOL, block_matrix, hermitized, psd_verdict
 from semifourier.errors import (
     NotARepresentation,
     NotAssociative,
@@ -30,8 +33,8 @@ from semifourier.grouprep import (
     group_pd_matrix,
     unitary_irreps,
 )
+from semifourier import positivity
 from semifourier.positivity import (
-    Dilation,
     MatrixAlgebraRep,
     _natural_spectra,
     _r_class_grams,
@@ -162,6 +165,10 @@ def oracle_gram_pd_map(st, n, seed):
     return vals
 
 
+DenseDilation = namedtuple("DenseDilation", "dim v pi reconstruction_residual identity_residual "
+                                             "multiplicativity_residual star_residual")
+
+
 def oracle_stinespring(f, tol=DEFAULT_TOL):
     """The dense dilation: one eigh of the whole Gram matrix, pi(s) from the
     R-class of s, and every residual walked over element pairs."""
@@ -210,7 +217,7 @@ def oracle_stinespring(f, tol=DEFAULT_TOL):
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
     if recon > 1e-6:
         raise ReconstructionFailure(f"dilation reconstruction residual {recon:.3e}")
-    return Dilation(dim, v, pi, recon, ident, mult, star)
+    return DenseDilation(dim, v, pi, recon, ident, mult, star)
 
 
 def oracle_multiplicativity(st, pi):
@@ -441,6 +448,125 @@ def test_stinespring_blocks_reject_transpose(m):
         oracle_stinespring(f)
     with pytest.raises(NotPositiveDefinite):
         stinespring(f)
+
+
+# --- one R-block and one eigensolve per D-class ---------------------------------------
+
+def all_r_class_oracle(f, tol=DEFAULT_TOL):
+    """Every R-class block judged and eigensolved on its own.
+
+    Returns the groupoid-mode (verdict, witness, defect, ||.||_2), the same per
+    D-class, and the dilation dimension: the eigenvalues of every block above
+    tol * max(1, ||.||_2).
+    """
+    st = f.structure
+    block_at = {}
+    for es, grams in _r_class_grams(f, st.idempotents):
+        block_at.update(zip(es.tolist(), grams))
+    spectrum = {e: np.linalg.eigvalsh(hermitized(g)) for e, g in block_at.items()}
+    whole = psd_verdict(list(block_at.values()), tol, list(spectrum.values()))
+    per_class = [psd_verdict([block_at[e] for e in st.class_idempotents(k)], tol,
+                             [spectrum[e] for e in st.class_idempotents(k)])
+                 for k in range(len(st.dclasses))]
+    keep = tol * max(1.0, whole[3])
+    return whole, per_class, sum(int((w > keep).sum()) for w in spectrum.values())
+
+
+def per_class_structure(data):
+    """I_1-I_4 inverse subsemigroups, I_4, C_5^0 and matrix_units:2-8."""
+    kind = data.draw(hst.sampled_from(["sub", "rook4", "cyclic5", "units"]))
+    if kind == "sub":
+        degree = data.draw(hst.integers(1, 4))
+        order = get_structure(f"builtin:symmetric_inverse:{degree}").table.order
+        gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+        return inverse_structure(inverse_subsemigroup(degree, gens))
+    ref = {"rook4": "builtin:symmetric_inverse:4", "cyclic5": "builtin:cyclic_with_zero:5",
+           "units": f"builtin:matrix_units:{data.draw(hst.integers(2, 8))}"}[kind]
+    return get_structure(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 2), seed=hst.integers(0, 2**16))
+def test_per_dclass_path_matches_all_r_class_oracle(data, n, seed):
+    st = per_class_structure(data)
+    kinds = ["random", "gram"] + (["kraus"] if st.matrix_units_size else [])
+    kind = data.draw(hst.sampled_from(kinds))
+    if kind == "kraus":
+        m = st.matrix_units_size
+        f = random_cp_map(m, n, kraus_count=data.draw(hst.integers(1, m)), seed=seed, structure=st)
+    else:
+        f = gram_pd_map(st, n, seed=seed) if kind == "gram" else random_map(st, n, seed)
+    tilde = f if f.basis == GROUPOID else to_groupoid(f)
+    (ok, lo, defect, norm2), per_class, dim = all_r_class_oracle(tilde)
+
+    got = pd_check(tilde, "groupoid")
+    assert (got.verdict, got.hermitian_defect) == (ok, defect)
+    assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
+    got = pd_check(tilde, "blocks")
+    assert [(k, v) for k, v, _ in got.per_class] == [(k, w[0]) for k, w in enumerate(per_class)]
+    assert got.hermitian_defect == max((w[2] for w in per_class), default=0.0)
+    for (_, _, got_lo), (_, want_lo, _, want_norm2) in zip(got.per_class, per_class):
+        assert abs(got_lo - want_lo) <= 1e-12 * max(1.0, want_norm2)
+
+    if not ok:
+        with pytest.raises(NotPositiveDefinite):
+            stinespring(tilde)
+        return
+    dil = stinespring(tilde)
+    assert dil.dim == dim
+    # the dense view: V^dagger pi(s) V = Phi(s), pi(s)^dagger = pi(s^-1), pi(s) pi(t) = pi(st)
+    pi, v = dil.pi, dil.v
+    assert pi.shape == (st.table.order, dim, dim)
+    for s in st.nonzero:
+        assert np.abs(v.conj().T @ pi[s] @ v - tilde.values[s]).max() <= 1e-8
+        assert np.abs(pi[s].conj().T - pi[st.inv[s]]).max(initial=0.0) <= 1e-10
+        a, b = st.ran[s], st.dom[s]
+        rows = slice(dil.offsets[a], dil.offsets[a] + dil.dims[a])
+        cols = slice(dil.offsets[b], dil.offsets[b] + dil.dims[b])
+        assert np.array_equal(pi[s, rows, cols], dil.block(s))
+    if st.table.order <= 70:
+        assert oracle_multiplicativity(st, pi) <= 1e-10
+    else:  # |S|^2 products of dim x dim matrices: a drawn sample of pairs
+        pairs = data.draw(hst.lists(hst.tuples(hst.sampled_from(st.nonzero), hst.sampled_from(st.nonzero)),
+                                    min_size=1, max_size=40))
+        for a, b in pairs:
+            target = pi[st.mul(a, b)] if st.dom[a] == st.ran[b] else 0.0
+            assert np.abs(pi[a] @ pi[b] - target).max(initial=0.0) <= 1e-10
+    assert dil.multiplicativity_residual <= 1e-10 and dil.star_residual <= 1e-10
+    assert dil.reconstruction_residual <= 1e-8
+
+
+def test_stinespring_allocates_no_dense_pi_until_read():
+    st = get_structure("builtin:symmetric_inverse:4")
+    f = gram_pd_map(st, 2, seed=0)
+    st.groupoid_factors  # cached set-up, not part of the dilation
+    tracemalloc.start()
+    try:
+        dil = stinespring(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = st.table.order * dil.dim ** 2 * np.dtype(complex).itemsize
+    assert dil.dim == 208 and "pi" not in vars(dil)
+    assert peak < dense / 2
+    assert dil.pi.shape == (st.table.order, dil.dim, dil.dim) and dil.pi is dil.pi
+
+
+@pytest.mark.parametrize("kind", ["random", "gram", "kraus"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", range(2, 15))
+def test_pd_natural_on_a_discrete_order_is_the_groupoid_path(m, n, kind, monkeypatch):
+    # zeta = I on matrix units: N is the groupoid matrix, so no rho-block is assembled
+    st = get_structure(f"builtin:matrix_units:{m}")
+    if kind == "kraus":
+        f = random_cp_map(m, n, kraus_count=2, seed=m, structure=st)
+    else:
+        f = gram_pd_map(st, n, seed=m) if kind == "gram" else random_map(st, n, m)
+    ok, lo, defect, norm2 = oracle_verdict(pd_matrix_natural(f))
+    monkeypatch.setattr(positivity, "_natural_spectra", None)
+    got = pd_check(f, "natural")
+    assert (got.verdict, got.hermitian_defect) == (ok, defect)
+    assert abs(got.witness - lo) <= 1e-12 * max(1.0, norm2)
 
 
 # --- representations of M_m ---------------------------------------------------------

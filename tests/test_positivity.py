@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from semifourier.errors import (
+    Error,
     NotARepresentation,
+    NotFinite,
     NotPositiveDefinite,
+    UnknownMode,
     WrongBasis,
     WrongSemigroup,
 )
+from semifourier.cxmat import psd_verdict
 from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap
 from semifourier.positivity import (
     PD_MODES,
@@ -87,6 +91,21 @@ def test_pd_blocks_reports_per_class(i2):
     assert res.per_class is not None
     assert [k for k, _, _ in res.per_class] == [0, 1]
     assert all(ok for _, ok, _ in res.per_class)
+
+
+def test_pd_check_failures_are_typed(i2):
+    with pytest.raises(UnknownMode):
+        pd_check(gram_pd_map(i2, 1, seed=0), "dense")
+    # a map refuses non-finite values when it is made, before any eigensolve sees them
+    vals = gram_pd_map(i2, 1, seed=0).values.copy()
+    vals[1, 0, 0] = np.nan
+    with pytest.raises(NotFinite):
+        MatrixMap(i2, 1, GROUPOID, vals)
+    with pytest.raises(NotFinite):
+        psd_verdict([np.diag([1.0, np.inf])])
+    # both stay ValueErrors for callers that catch those
+    assert issubclass(UnknownMode, Error) and issubclass(UnknownMode, ValueError)
+    assert issubclass(NotFinite, Error) and issubclass(NotFinite, ValueError)
 
 
 # --- bochner_check -----------------------------------------------------------------

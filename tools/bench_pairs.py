@@ -12,10 +12,13 @@ ones, so a drift in the host's speed falls on both sides alike.
 With `--trace 0` the output keeps the end-to-end metrics of every run and,
 per workload and metric, each side's median and quartiles, the head/base
 ratio of the medians and the pairs the head won (ties count for neither
-side; "better" comes from the base's BENCHMARK.json).  With `--trace 1` it
-keeps the per-layer metrics of every run and their medians per side.  The
-output file is rewritten after every run, so an interrupted session keeps
-what it measured.
+side; "better" comes from the base's BENCHMARK.json).  `beyond_bound` marks
+a metric whose head median is worse than the base median by more than that
+metric's relative `bound` in the base's BENCHMARK.json; such metrics are
+listed again at the end of the run.  With `--trace 1` it keeps the
+per-layer metrics of every run and their medians per side.  The output file
+is rewritten after every run, so an interrupted session keeps what it
+measured.
 """
 
 from __future__ import annotations
@@ -63,7 +66,13 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list[dict], better: dict[str, str], trace: int) -> dict:
+def beyond_bound(base: float, head: float, better: str, bound: float) -> bool:
+    """Whether head is worse than base by more than bound, relative to base."""
+    worse = (head - base) if better == "lower" else (base - head)
+    return worse > bound * abs(base)
+
+
+def summarise(runs: list[dict], spec: dict[str, dict], trace: int) -> dict:
     out: dict = {}
     for workload in sorted({r["workload"] for r in runs}):
         sides: dict[int, dict[str, dict]] = {}
@@ -80,11 +89,14 @@ def summarise(runs: list[dict], better: dict[str, str], trace: int) -> dict:
             row = {"base": quartiles(base), "head": quartiles(head)}
             if row["base"]["median"]:
                 row["head_over_base"] = row["head"]["median"] / row["base"]["median"]
-            if not trace and name in better:
-                sign = 1 if better[name] == "higher" else -1
-                row["better"] = better[name]
+            if not trace and name in spec:
+                better = spec[name]["better"]
+                sign = 1 if better == "higher" else -1
+                row["better"] = better
                 row["head_wins"] = sum(sign * (h - b) > 0 for b, h in zip(base, head))
                 row["base_iqr_over_median"] = (row["base"]["q3"] - row["base"]["q1"]) / row["base"]["median"]
+                row["beyond_bound"] = beyond_bound(row["base"]["median"], row["head"]["median"],
+                                                   better, spec[name]["bound"])
             table[name] = row
         out[workload] = {
             "pairs": len(pairs),
@@ -123,8 +135,7 @@ def measure(args, seeds: list[int], workloads: list[str], into: Path) -> int:
     revs = {side: subprocess.run(["git", "rev-parse", rev], check=True, capture_output=True,
                                  text=True).stdout.strip()
             for side, rev in (("base", args.base), ("head", args.head))}
-    spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    spec = {m["name"]: m for m in json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]}
 
     runs: list[dict] = []
     for i, seed in enumerate(seeds):
@@ -141,10 +152,15 @@ def measure(args, seeds: list[int], workloads: list[str], into: Path) -> int:
                     "trace": args.trace,
                     "seeds": seeds,
                     "host": runs[0]["env"],
-                    "summary": summarise(runs, better, args.trace),
+                    "summary": summarise(runs, spec, args.trace),
                     "runs": [{k: v for k, v in x.items() if k != "env"} for x in runs],
                 }
                 Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for workload, w in report["summary"].items():
+        for name, row in w["metrics"].items():
+            if row.get("beyond_bound"):
+                print(f"BEYOND BOUND {workload} {name}: head median {row['head']['median']:.4g} "
+                      f"vs base {row['base']['median']:.4g} (bound {spec[name]['bound']})", flush=True)
     return 0
 
 
