@@ -54,7 +54,7 @@ INTERNAL_EXIT = 5
 
 def _fail(code: int, kind: str, exc: BaseException | str) -> int:
     error: dict = {"kind": kind}
-    if isinstance(exc, BaseException) and len(exc.args) > 1:
+    if isinstance(exc, Error) and len(exc.args) > 1:
         error["message"] = str(exc.args[0])
         error["witness"] = exc.args[1]
     else:
@@ -69,9 +69,10 @@ def _fail(code: int, kind: str, exc: BaseException | str) -> int:
 
 def _parse(load, *args):
     """Run one loader of the parse phase (``load_map``, ``load_rep``,
-    ``resolve_semigroup``).  Its untyped failures (an unreadable file, bad
-    JSON, a missing key, a malformed table or value) become ParseError; the
-    library's typed errors pass through."""
+    ``resolve_semigroup``), or the writer of ``--out``.  Its untyped
+    failures (an unreadable file, bad JSON, a missing key, a malformed table
+    or value, an unwritable path) become ParseError; the library's typed
+    errors pass through."""
     try:
         return load(*args)
     except Error:
@@ -118,7 +119,7 @@ def _emit(args, command: str, result: dict) -> None:
     else:
         text = _render_text(report) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _parse(Path(args.out).write_text, text)
     else:
         sys.stdout.write(text)
 

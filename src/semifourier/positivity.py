@@ -136,11 +136,6 @@ class PDSlice:
     per_class: tuple[tuple[int, bool, float], ...] | None = None
 
 
-def _discrete_order(st: InverseStructure) -> bool:
-    """Whether the natural order is equality (zeta = I), as on matrix units."""
-    return int(np.count_nonzero(st.leq)) == len(st.nonzero)
-
-
 def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> PDSlice:
     """Positive-definiteness of the linear map f denotes, one mode at a time.
 
@@ -170,7 +165,8 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
     if mode not in PD_MODES:
         raise UnknownMode(f"unknown pd mode {mode!r}")
     st = f.structure
-    if mode == "natural" and not _discrete_order(st):
+    # a natural order with comparable pairs besides s <= s (zeta != I)
+    if mode == "natural" and np.count_nonzero(st.leq) > len(st.nonzero):
         # the entries of N: Lambda(u) at each nonzero u = ran(u)^-1 u, and 0 = Lambda(z)
         vals = eval_natural(f)
         spectra = [w for _, w in _natural_spectra(f)]

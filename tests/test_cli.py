@@ -93,7 +93,10 @@ def test_malformed_semigroup_file_exits_2(tmp_path, capsys, content):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["check", tmp_path / "absent.json"], capsys)
-    assert code == 2 and json.loads(err)["error"]["kind"] == "FileNotFoundError"
+    error = json.loads(err)["error"]
+    assert code == 2 and error["kind"] == "FileNotFoundError" and "absent.json" in error["message"]
+    code, out, err = run_cli(["--out", tmp_path / "no" / "dir.json", "analyze", "builtin:matrix_units:2"], capsys)
+    assert code == 2 and out == "" and json.loads(err)["error"]["kind"] == "FileNotFoundError"
 
 
 def test_one_element_semigroup_gets_a_verdict(tmp_path, capsys):
