@@ -3,8 +3,9 @@
 Verb-style subcommands load semigroups and maps from files (or builtin
 references), run the analyses and emit deterministic JSON or text reports.
 Exit codes: 0 analysis completed (verdicts live in the payload), 2 parse
-error (only while the inputs are loaded), 3 invalid algebraic structure,
-4 precondition failure, 5 internal failure (a bug signal).
+error (only from reading the inputs, a bad --tol or an unwritable --out),
+3 invalid algebraic structure, 4 precondition failure, 5 internal failure
+(a bug signal).
 """
 
 from __future__ import annotations
