@@ -23,7 +23,7 @@ from .harmonic import (
     schur_residual,
     to_groupoid,
 )
-from .maps import Supermap, choi, choi_invert, convolve, representing_map, supermap_convolve, tensor_lift
+from .maps import Supermap, choi, choi_invert, convolve, representing_map, supermap_convolve
 from .positivity import (
     BochnerReport,
     Dilation,
@@ -54,4 +54,4 @@ from .semigroup import (
     steinberg_phi_inv,
     validate_semigroup,
 )
-from .grouprep import GroupMatrixMap, GroupRep, group_convolve, group_fourier, group_fourier_invert, unitary_irreps
+from .grouprep import GroupRep, unitary_irreps

@@ -37,7 +37,7 @@ from .jsonio import (
     matrix_to_json,
     resolve_semigroup,
 )
-from .maps import choi, convolve, matrix_units_size
+from .maps import choi, convolve
 from .positivity import (
     bochner_check,
     cp_check,
@@ -186,11 +186,7 @@ def cmd_fourier(args) -> dict:
             for rep, t in zip(data.reps, data.transforms)
         },
     }
-    try:
-        matrix_units_size(st)
-    except Error:
-        pass
-    else:
+    if st.matrix_units_size is not None:
         result["choi_consistency_residual"] = _residual_summary(
             data.transforms[0].matrix, choi(f).matrix
         )
@@ -280,7 +276,7 @@ def cmd_stinespring(args) -> dict:
         dil = stinespring(f, tol=args.tol)
     except NotPositiveDefinite as exc:
         return {"verdict": "NotPositiveDefinite", "detail": str(exc)}
-    payload = dilation_to_json(dil, f.structure)
+    payload = dilation_to_json(dil)
     payload["verdict"] = "ok"
     return payload
 

@@ -12,8 +12,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotHermitian
 
-# Global default: comparisons are relative to max(1, scale) at this tolerance.
+# Global default tolerance; every threshold derived from it is ``bound(tol, scale)``.
 DEFAULT_TOL = 1e-9
+
+
+def bound(tol: float, scale: float) -> float:
+    """The library's one scale rule: tol relative to max(1, scale)."""
+    return tol * max(1.0, scale)
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -65,23 +70,10 @@ def partial_trace_left(t: BlockTensor) -> np.ndarray:
     return np.einsum("kikj->ij", t.reshaped())
 
 
-def partial_trace_right(t: BlockTensor) -> np.ndarray:
-    """Trace out the right factor: result[a, b] = sum_k T[(a,k),(b,k)]."""
-    return np.einsum("akbk->ab", t.reshaped())
-
-
 def block_matrix(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The square block matrices whose (a, b) block is vals[idx[..., a, b]], in one gather."""
     p, n = idx.shape[-1], vals.shape[-1]
     return vals[idx].swapaxes(-3, -2).reshape(idx.shape[:-2] + (p * n, p * n))
-
-
-def hermitian_defect(a) -> float:
-    """Max-abs deviation of ``a`` from its own conjugate transpose."""
-    m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("hermitian defect needs a square matrix")
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
 def hermitized(a: np.ndarray) -> np.ndarray:
@@ -113,18 +105,11 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
         spectra = [np.linalg.eigvalsh(hermitized(b)) for b in blocks]
     pairs = [(b, m) for b, m in zip(blocks, blocks if mirrors is None else mirrors) if b.size]
     defect = max((float(np.abs(b - m.conj().swapaxes(-1, -2)).max()) for b, m in pairs), default=0.0)
-    scale = max([1.0] + [float(np.abs(b).max()) for b, _ in pairs])
+    scale = max((float(np.abs(b).max()) for b, _ in pairs), default=0.0)
     spectra = [w for w in spectra if w.size]
     lo = min((float(w[..., 0].min()) for w in spectra), default=0.0)
     norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for w in spectra), default=0.0)
-    return defect <= tol * scale and lo >= -tol * max(1.0, norm2), lo, defect, norm2
-
-
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    defect = hermitian_defect(a)
-    if defect > tol * scale:
-        raise NotHermitian(f"hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
 
 
 def min_eigenvalue_hermitian(a, tol: float = DEFAULT_TOL) -> float:
@@ -133,9 +118,7 @@ def min_eigenvalue_hermitian(a, tol: float = DEFAULT_TOL) -> float:
     Raises NotHermitian when ``a`` deviates from Hermitian by more than
     tol * max(1, max-abs entry).
     """
-    m = as_cmatrix(a)
-    _require_hermitian(m, tol)
-    return psd_verdict([m], tol)[1]
+    return is_psd(a, tol)[1]
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -147,15 +130,10 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     max-abs entry); past that check the verdict is ``psd_verdict``'s.
     """
     m = as_cmatrix(a)
-    _require_hermitian(m, tol)
-    ok, lo, _, _ = psd_verdict([m], tol)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"PSD test needs a square matrix, got {m.shape}")
+    ok, lo, defect, _ = psd_verdict([m], tol)
+    limit = bound(tol, float(np.abs(m).max(initial=0.0)))
+    if defect > limit:
+        raise NotHermitian(f"hermitian defect {defect:.3e} exceeds {limit:.3e}")
     return ok, lo
-
-
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def max_abs(a) -> float:
-    m = np.asarray(a, dtype=complex)
-    return float(np.abs(m).max()) if m.size else 0.0

@@ -1,5 +1,5 @@
-"""Unitary irreducible representations of finite groups and group-level
-Fourier analysis.
+"""Unitary irreducible representations of finite groups and their isotypic
+bases.
 
 Irreps are generated by splitting the left regular representation along a
 random Hermitian element of its commutant: the eigenspaces of the averaged
@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import DEFAULT_TOL, BlockTensor, block_matrix, psd_verdict
-from .errors import (
-    DimensionMismatch,
-    IncompleteIrrepSet,
-    InternalInconsistency,
-    NonConvergent,
-    SizeLimit,
-)
+from .errors import NonConvergent, SizeLimit
 from .semigroup import GroupTable
 
 MAX_GROUP_ORDER = 48
@@ -39,18 +32,6 @@ class GroupRep:
     @property
     def characters(self) -> np.ndarray:
         return np.einsum("gii->g", self.matrices)
-
-    def at(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
-
-@dataclass(frozen=True)
-class GroupMatrixMap:
-    """A map from a group into M_n, one n x n value per element."""
-
-    group: GroupTable
-    dim: int
-    values: np.ndarray  # (|G|, n, n)
 
 
 class _SplitFailed(Exception):
@@ -168,121 +149,3 @@ def isotypic_bases(reps: list[GroupRep], perms: np.ndarray) -> tuple[tuple[int, 
         q.setflags(write=False)
         out.append((rep.dim, q))
     return tuple(out)
-
-
-# --- Fourier analysis on a group -------------------------------------------
-
-def _check_same_group(a, b) -> None:
-    if a.group.order != b.group.order or not np.array_equal(a.group.table, b.group.table):
-        raise DimensionMismatch("maps live on different groups")
-
-
-def group_fourier(f: GroupMatrixMap, rep: GroupRep) -> BlockTensor:
-    """Fourier transform at one representation: sum_g rep(g) (x) f(g)."""
-    _check_same_group(f, rep)
-    d, n = rep.dim, f.dim
-    mat = np.einsum("gab,gij->aibj", rep.matrices, f.values).reshape(d * n, d * n)
-    return BlockTensor(d, n, mat)
-
-
-def group_fourier_invert(
-    reps: list[GroupRep], transforms: list[BlockTensor], g: int
-) -> np.ndarray:
-    """Reconstruct f(g) = (1/|G|) sum_rho d_rho tr_rho[(rho(g^-1) (x) I) fhat(rho)]."""
-    if not reps:
-        raise IncompleteIrrepSet("no representations supplied")
-    group = reps[0].group
-    if sum(r.dim * r.dim for r in reps) != group.order:
-        raise IncompleteIrrepSet("sum of squared dimensions differs from |G|")
-    ginv = int(group.inv[g])
-    n = transforms[0].dim_right
-    total = np.zeros((n, n), dtype=complex)
-    for rep, t in zip(reps, transforms):
-        block = t.reshaped()
-        total += rep.dim * np.einsum("kb,bikj->ij", rep.matrices[ginv], block)
-    return total / group.order
-
-
-def group_convolve(f1: GroupMatrixMap, f2: GroupMatrixMap) -> GroupMatrixMap:
-    """(f1 * f2)(g) = sum_h f1(h) f2(h^-1 g)."""
-    _check_same_group(f1, f2)
-    if f1.dim != f2.dim:
-        raise DimensionMismatch("convolution needs equal target dimensions")
-    group = f1.group
-    n = group.order
-    out = np.zeros_like(f1.values)
-    for k in range(n):
-        for i in range(n):
-            j = group.mul(int(group.inv[i]), k)
-            out[k] += f1.values[i] @ f2.values[j]
-    return GroupMatrixMap(group, f1.dim, out)
-
-
-def group_plancherel_check(
-    f1: GroupMatrixMap, f2: GroupMatrixMap, reps: list[GroupRep]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Both sides of sum_g f1(g^-1) f2(g) = (1/|G|) sum_rho d_rho tr_rho[f1hat f2hat]."""
-    _check_same_group(f1, f2)
-    group = f1.group
-    lhs = np.zeros((f1.dim, f2.dim), dtype=complex)
-    for g in range(group.order):
-        lhs += f1.values[int(group.inv[g])] @ f2.values[g]
-    rhs = np.zeros_like(lhs)
-    for rep in reps:
-        t1 = group_fourier(f1, rep).matrix
-        t2 = group_fourier(f2, rep).matrix
-        prod = (t1 @ t2).reshape(rep.dim, f1.dim, rep.dim, f2.dim)
-        rhs += rep.dim * np.einsum("kikj->ij", prod)
-    rhs /= group.order
-    return lhs, rhs, float(np.linalg.norm(lhs - rhs))
-
-
-def group_pd_matrix(f: GroupMatrixMap) -> np.ndarray:
-    """The |G|n x |G|n block matrix with (g, g') block f(g^-1 g')."""
-    group = f.group
-    return block_matrix(f.values, group.table[group.inv])
-
-
-def group_pd_check(f: GroupMatrixMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Positive-definiteness of the map: PSD test of the big block matrix."""
-    ok, lo, _, _ = psd_verdict([group_pd_matrix(f)], tol)
-    return ok, lo
-
-
-@dataclass(frozen=True)
-class GroupBochnerReport:
-    pd_verdict: bool
-    pd_witness: float
-    transform_verdicts: tuple[tuple[int, bool, float], ...]  # (irrep index, psd, witness)
-    transforms_verdict: bool
-
-
-def group_bochner_check(
-    f: GroupMatrixMap, reps: list[GroupRep], tol: float = DEFAULT_TOL
-) -> GroupBochnerReport:
-    """Check the positive-definite <-> transforms-PSD biconditional.
-
-    A decisive disagreement (both witnesses outside a 10x tolerance guard
-    band) raises InternalInconsistency: the theorem says it cannot happen,
-    so it would indicate a bug.
-    """
-    if sum(r.dim * r.dim for r in reps) != f.group.order:
-        raise IncompleteIrrepSet("sum of squared dimensions differs from |G|")
-    big = group_pd_matrix(f)
-    pd_ok, pd_lo, pd_defect, _ = psd_verdict([big], tol)
-    per = []
-    ft_ok = True
-    ft_lo = np.inf
-    for i, rep in enumerate(reps):
-        t = group_fourier(f, rep).matrix
-        ok, lo, _, _ = psd_verdict([t], tol)
-        per.append((i, ok, lo))
-        ft_ok = ft_ok and ok
-        ft_lo = min(ft_lo, lo)
-    if pd_ok != ft_ok:
-        band = 10.0 * tol * max(1.0, float(np.abs(big).max()))
-        if min(abs(pd_lo), abs(float(ft_lo))) > band and pd_defect <= band:
-            raise InternalInconsistency(
-                f"Bochner disagreement: pd witness {pd_lo:.3e}, transform witness {ft_lo:.3e}"
-            )
-    return GroupBochnerReport(pd_ok, pd_lo, tuple(per), ft_ok)

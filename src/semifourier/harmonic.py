@@ -12,6 +12,7 @@ that family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +25,13 @@ from .errors import (
     WrongBasis,
 )
 from .grouprep import GroupRep, unitary_irreps
-from .semigroup import InverseStructure, maximal_subgroup
+from .semigroup import InverseStructure, maximal_subgroup, steinberg_phi
 
 NATURAL = "natural"
 GROUPOID = "groupoid"
+# relative tolerance of the character orthogonality that check_irreps_complete
+# asks of a family; the characters of inequivalent irreps are orthogonal exactly
+_CHARACTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,6 @@ class MatrixMap:
             raise NotFinite("map values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def value_at(self, name: str) -> np.ndarray:
-        return self.values[self.structure.table.index_of(name)]
 
 
 def check_same_semigroup(a: MatrixMap, b: MatrixMap) -> None:
@@ -106,10 +107,6 @@ def groupoid_values(f: MatrixMap) -> np.ndarray:
     return f.values if f.basis == GROUPOID else to_groupoid(f).values
 
 
-def natural_values(f: MatrixMap) -> np.ndarray:
-    return f.values if f.basis == NATURAL else from_groupoid(f).values
-
-
 @dataclass(frozen=True)
 class InducedRep:
     """An irrep of C0[S] induced from a maximal-subgroup irrep.
@@ -131,6 +128,11 @@ class InducedRep:
         """r_k * |G_{e_k}| of the underlying class: the inversion constant."""
         return self.structure.ranks[self.class_index] * self.group_rep.group.order
 
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """chi_sigma(floor(s)) = tr sigma(floor(s)) for every element s."""
+        return np.einsum("sii->s", self.matrices)
+
     def natural_matrices(self) -> np.ndarray:
         """Action on natural elements: sigma(s) = sum_{t <= s} sigma(floor(t))."""
         return combine(self.structure.leq_float.T, self.matrices)
@@ -151,10 +153,8 @@ def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
             dim = r * d
             mats = np.zeros((n, dim, dim), dtype=complex)
             for x in cls:
-                a = pos[int(s.ran[x])]
-                b = pos[int(s.dom[x])]
-                g = s.mul(s.mul(int(s.inv[s.transversals[int(s.ran[x])]]), x),
-                          s.transversals[int(s.dom[x])])
+                _, g, a, b = steinberg_phi(s, x)
+                a, b = pos[a], pos[b]
                 mats[x, a * d : (a + 1) * d, b * d : (b + 1) * d] = rho.matrices[
                     subgroup.local_of_ambient(g)
                 ]
@@ -190,7 +190,13 @@ def check_irreps_complete(s: InverseStructure, reps) -> None:
 
     A complete family has sum of d_sigma^2 = |D_k| over the irreps induced on
     each class k (hence |S| - 1 in total); a family that repeats the irreps of
-    one class can match the total while leaving another class uncovered.
+    one class can match the total while leaving another class uncovered.  A
+    family that repeats an irrep within a class can match |D_k| too, so the
+    characters must also be orthogonal:
+    sum_{s in D_k} chi_sigma(floor(s)) conj(chi_sigma'(floor(s)))
+    = r_k |G_k| delta_{sigma sigma'}, to within _CHARACTER_TOL relative to
+    r_k |G_k|.  An induced irrep vanishes off its class, so one Gram matrix
+    of the characters over all of S holds every class's sums.
     """
     got: dict[int, int] = {}
     for r in reps:
@@ -202,6 +208,11 @@ def check_irreps_complete(s: InverseStructure, reps) -> None:
             )
     if got:
         raise IncompleteIrrepSet(f"irreps name unknown D-classes {sorted(got)}")
+    if reps:
+        chars = np.stack([r.characters for r in reps])
+        w = np.sqrt([float(r.weight) for r in reps])
+        if np.abs((chars @ chars.conj().T) / np.outer(w, w) - np.eye(len(reps))).max() > _CHARACTER_TOL:
+            raise IncompleteIrrepSet("the irreps are not pairwise inequivalent: their characters overlap")
 
 
 def _invert(data: FourierData, elements: np.ndarray) -> np.ndarray:

@@ -154,32 +154,12 @@ def supermap_from_json(obj: dict) -> Supermap:
     return Supermap(m1, n2, m3, n4, action)
 
 
-def irreps_to_json(reps) -> dict:
-    """Audit export for a set of representations (group or induced)."""
-    dims = []
-    chars = []
-    mats = {}
-    for idx, rep in enumerate(reps):
-        dims.append(rep.dim)
-        if hasattr(rep, "irrep_id"):
-            key = rep.irrep_id
-            names = rep.structure.table.element_names
-            elements = rep.structure.nonzero
-        else:
-            key = f"rho{idx}"
-            names = rep.group.element_names
-            elements = range(rep.group.order)
-        chars.append([complex_to_json(np.trace(rep.matrices[s])) for s in elements])
-        mats[key] = {names[s]: matrix_to_json(rep.matrices[s]) for s in elements}
-    return {"dims": dims, "characters": chars, "matrices": mats}
-
-
-def dilation_to_json(d: Dilation, structure, names=True) -> dict:
-    t = structure.table
+def dilation_to_json(d: Dilation) -> dict:
+    t = d.structure.table
     return {
         "dilation_dim": d.dim,
         "v": matrix_to_json(d.v),
-        "pi": {t.element_names[s]: matrix_to_json(d.pi[s]) for s in structure.nonzero},
+        "pi": {t.element_names[s]: matrix_to_json(d.pi[s]) for s in d.structure.nonzero},
         "residuals": {
             "reconstruction": d.reconstruction_residual,
             "identity": d.identity_residual,

@@ -1,11 +1,11 @@
-"""Algebra of maps: semigroup convolution, tensor lift, Choi matrix and
-inversion, and the supermap layer (basis supermaps, star convolution,
-representing map).
+"""Algebra of maps: semigroup convolution, Choi matrix and inversion, and the
+supermap layer (basis supermaps, star convolution, representing map).
 
 The convolution of two maps, (Phi * Psi)(k) = sum over nonzero factorizations
 s t = k of Phi(s) Psi(t), is the product of their lifts sum_s s (x) Phi(s) in
 C0[S] (x) M_n: this is the paper's isomorphism between the convolution
-algebra L(C0[S], M_n) and C0[S] (x) M_n.  The product is formed in the
+algebra L(C0[S], M_n) and C0[S] (x) M_n, and a natural-basis map's values
+are the coefficients of its lift.  The product is formed in the
 groupoid basis, in which C0[S] is the groupoid algebra
 (+)_k M_{r_k}(C[G_k]) and floor(s) floor(t) = floor(st) exactly when
 dom(s) = ran(t).  Each coefficient of the product is then a sum over one
@@ -48,41 +48,6 @@ def convolve(f1: MatrixMap, f2: MatrixMap) -> MatrixMap:
         "kmab,kmbc->kac", to_groupoid(f1).values[left], to_groupoid(f2).values[right]
     )
     return from_groupoid(MatrixMap(f1.structure, f1.dim, GROUPOID, vals))
-
-
-@dataclass(frozen=True)
-class TensorAlgebraElement:
-    """An element of C0[S] (x) M_n: one n x n coefficient per nonzero element."""
-
-    structure: InverseStructure
-    dim: int
-    coeffs: np.ndarray  # (|S|, n, n), zero slot unused
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        c = c.copy()
-        c[self.structure.zero] = 0.0
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-def tensor_lift(f: MatrixMap) -> TensorAlgebraElement:
-    """Phi -> sum_s s (x) Phi(s)."""
-    if f.basis != NATURAL:
-        raise WrongBasis("tensor_lift expects a natural-basis map")
-    return TensorAlgebraElement(f.structure, f.dim, f.values)
-
-
-def tensor_mul(x: TensorAlgebraElement, y: TensorAlgebraElement) -> TensorAlgebraElement:
-    """Product in C0[S] (x) M_n: the convolution of the two coefficient maps."""
-    if not x.structure.same_semigroup(y.structure) or x.dim != y.dim:
-        raise DimensionMismatch("tensor elements are incompatible")
-    product = convolve(tensor_to_map(x), tensor_to_map(y))
-    return TensorAlgebraElement(x.structure, x.dim, product.values)
-
-
-def tensor_to_map(x: TensorAlgebraElement) -> MatrixMap:
-    return MatrixMap(x.structure, x.dim, NATURAL, x.coeffs)
 
 
 # --- Choi matrix on the matrix-unit semigroup ------------------------------
@@ -143,7 +108,6 @@ def map_values_to_choi(v: np.ndarray) -> BlockTensor:
 
 
 def choi_to_map_values(c: BlockTensor) -> np.ndarray:
-    m, n = c.dim_left, c.dim_right
     return np.einsum("iajb->ijab", c.reshaped())
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cxmat import DEFAULT_TOL, BlockTensor, block_matrix, hermitized, psd_verdict
+from .cxmat import DEFAULT_TOL, BlockTensor, block_matrix, bound, hermitized, psd_verdict
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -234,7 +234,7 @@ def bochner_check(
         worst = min(worst, lo)
     report = BochnerReport(pd, tuple(per), all_ok, float(worst))
     if pd.verdict != all_ok:
-        band = 10.0 * tol * max(1.0, abs(pd.witness), abs(report.transforms_witness))
+        band = bound(10.0 * tol, max(abs(pd.witness), abs(report.transforms_witness)))
         if min(abs(pd.witness), abs(report.transforms_witness)) > band:
             raise InternalInconsistency(
                 f"Bochner disagreement: pd witness {pd.witness:.3e}, "
@@ -315,7 +315,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     kept = []
     for (es, _), (w, u) in zip(grams, stacked):
         for e, we, ue in zip(es, w, u):
-            keep = we > tol * max(1.0, norm2)
+            keep = we > bound(tol, norm2)
             dims[e] = int(keep.sum())
             kept.append((e, we[keep], ue[:, keep]))
     width = int(dims.max())
@@ -370,10 +370,10 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     phi_identity = f.values[idem].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
     # judged relative to the map's largest entry, so the bound is 1e-6 up to unit scale
-    bound = 1e-6 * max(1.0, float(np.abs(f.values).max()))
-    if recon > bound:
+    limit = bound(1e-6, float(np.abs(f.values).max()))
+    if recon > limit:
         raise ReconstructionFailure(
-            f"dilation reconstruction residual {recon:.3e} exceeds {bound:.3e}"
+            f"dilation reconstruction residual {recon:.3e} exceeds {limit:.3e}"
         )
     return Dilation(st, dim, v, blocks, dims, offsets, recon, ident, mult, star)
 
@@ -423,8 +423,7 @@ def rep_residual(rho: MatrixAlgebraRep) -> float:
 
 def verify_rep(rho: MatrixAlgebraRep, tol: float = DEFAULT_TOL) -> float:
     res = rep_residual(rho)
-    scale = max(1.0, float(np.abs(rho.matrices).max()))
-    if res > tol * scale:
+    if res > bound(tol, float(np.abs(rho.matrices).max())):
         raise NotARepresentation(f"multiplicativity residual {res:.3e}")
     return res
 
@@ -456,7 +455,7 @@ def is_unitary_conjugation_rep(
         return False, None, float("inf")
     p11 = rho.matrices[0, 0]
     svals = np.linalg.svd(p11, compute_uv=False)
-    if (svals > tol * max(1.0, float(svals[0]) if svals.size else 1.0)).sum() != 1:
+    if (svals > bound(tol, float(svals.max(initial=0.0)))).sum() != 1:
         return False, None, float("inf")
     col = int(np.argmax(np.linalg.norm(p11, axis=0)))
     v = p11[:, col]

@@ -16,8 +16,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from semifourier.harmonic import induced_irreps  # noqa: E402
-from semifourier.semigroup import SemigroupTable, from_builtin, inverse_structure  # noqa: E402
+from semifourier.harmonic import NATURAL, MatrixMap, induced_irreps  # noqa: E402
+from semifourier.semigroup import SemigroupTable, adjoin_zero, from_builtin, inverse_structure  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_DATA = REPO_ROOT / "sample_data"
@@ -65,6 +65,24 @@ def inverse_subsemigroup(n: int, generators) -> SemigroupTable:
     names = tuple(rook.table.element_names[m] for m in members)
     return SemigroupTable(f"I{n}<{','.join(map(str, generators))}>", names,
                           int(local[rook.zero]), local[tab[np.ix_(members, members)]])
+
+
+def group_with_zero(group):
+    """The inverse structure of G^0, a group with a zero adjoined: C0[G^0] = C[G].
+
+    Group element g keeps index g and the zero comes last.  The only nonzero
+    idempotent is the identity, so the natural order is discrete and natural
+    and groupoid values coincide; G^0 has one D-class, with r = 1.
+    """
+    return inverse_structure(adjoin_zero(SemigroupTable(group.name, group.element_names, None, group.table)))
+
+
+def padded_map(st, values) -> MatrixMap:
+    """The natural-basis map on G^0 with these group values, one per element, and 0 at the zero."""
+    values = np.asarray(values, dtype=complex)
+    vals = np.zeros((st.table.order,) + values.shape[1:], dtype=complex)
+    vals[: len(values)] = values
+    return MatrixMap(st, values.shape[1], NATURAL, vals)
 
 
 @pytest.fixture

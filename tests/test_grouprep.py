@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from semifourier.errors import IncompleteIrrepSet, SizeLimit
-from semifourier.grouprep import (
-    GroupMatrixMap,
-    group_bochner_check,
-    group_convolve,
-    group_fourier,
-    group_fourier_invert,
-    group_pd_check,
-    group_plancherel_check,
-    unitary_irreps,
+from semifourier.grouprep import unitary_irreps
+from semifourier.harmonic import (
+    FourierData,
+    fourier,
+    fourier_invert,
+    fourier_transform_all,
+    induced_irreps,
+    plancherel_check,
 )
+from semifourier.maps import convolve
+from semifourier.positivity import bochner_check, pd_check
 from semifourier.semigroup import GroupTable, cyclic_group_table, maximal_subgroup
 
-from conftest import get_structure
+from conftest import get_structure, group_with_zero, padded_map
 
 
 def trivial_group():
@@ -26,21 +27,20 @@ def s3_group():
     return maximal_subgroup(i3, i3.table.index_of("[1>1,2>2,3>3]"))
 
 
-def random_map(group, n, seed):
+def random_values(group, n, seed):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((group.order, n, n)) + 1j * rng.standard_normal(
+    return rng.standard_normal((group.order, n, n)) + 1j * rng.standard_normal(
         (group.order, n, n)
     )
-    return GroupMatrixMap(group, n, vals)
 
 
-def delta_identity_map(group, n):
+def delta_identity_values(group, n):
     vals = np.zeros((group.order, n, n), dtype=complex)
     vals[group.identity] = np.eye(n)
-    return GroupMatrixMap(group, n, vals)
+    return vals
 
 
-def gram_map(group, n, seed):
+def gram_values(group, n, seed):
     # Phi(g) = sum_h A(h)^dagger A(hg) is PD: the big block matrix is the Gram
     # matrix of the stacked blocks B_g = [A(hg)]_h
     rng = np.random.default_rng(seed)
@@ -51,7 +51,16 @@ def gram_map(group, n, seed):
     for g in range(group.order):
         for h in range(group.order):
             vals[g] += a[h].conj().T @ a[group.mul(h, g)]
-    return GroupMatrixMap(group, n, vals)
+    return vals
+
+
+def plancherel_on_group(f1, f2, reps, order):
+    """Both sides of sum_g f1(g^-1) f2(g) = (1/|G|) sum_rho d_rho tr_rho[f1hat f2hat].
+
+    On G^0 every term of the semigroup identity carries the weight r |G| = |G|.
+    """
+    lhs, rhs, residual = plancherel_check(f1, f2, reps)
+    return lhs / order, rhs / order, residual / order
 
 
 # --- irrep generation ---------------------------------------------------------
@@ -152,39 +161,42 @@ def test_irreps_pairwise_inequivalent_across_seeds():
         assert sum(r.dim**2 for r in reps) == group.order
 
 
-# --- Fourier transform ----------------------------------------------------------
+# --- Fourier transform on G^0 -------------------------------------------------------
 
 def test_fourier_zero_map():
     group = cyclic_group_table(2)
-    rep = unitary_irreps(group)[0]
-    f = GroupMatrixMap(group, 2, np.zeros((2, 2, 2), dtype=complex))
-    assert np.abs(group_fourier(f, rep).matrix).max() == 0.0
+    st = group_with_zero(group)
+    rep = induced_irreps(st)[0]
+    f = padded_map(st, np.zeros((2, 2, 2), dtype=complex))
+    assert np.abs(fourier(f, rep).matrix).max() == 0.0
 
 
 def test_fourier_z2_sum_and_difference():
     group = cyclic_group_table(2)
-    reps = unitary_irreps(group)
-    by_char = {tuple(np.round(r.characters.real, 6)): r for r in reps}
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
+    by_char = {tuple(np.round(r.group_rep.characters.real, 6)): r for r in reps}
     trivial = by_char[(1.0, 1.0)]
     sign = by_char[(1.0, -1.0)]
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    f = GroupMatrixMap(group, 2, np.stack([x, y]))
-    assert np.abs(group_fourier(f, trivial).matrix - (x + y)).max() <= 1e-12
-    assert np.abs(group_fourier(f, sign).matrix - (x - y)).max() <= 1e-12
+    f = padded_map(st, np.stack([x, y]))
+    assert np.abs(fourier(f, trivial).matrix - (x + y)).max() <= 1e-12
+    assert np.abs(fourier(f, sign).matrix - (x - y)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("maker", [cyclic_group_table, None], ids=["z2z3", "s3"])
 def test_fourier_roundtrip(maker):
     groups = [maker(2), maker(3)] if maker else [s3_group()]
     for group in groups:
-        reps = unitary_irreps(group)
+        st = group_with_zero(group)
+        reps = induced_irreps(st)
         for seed in range(100):
-            f = random_map(group, 2, seed)
-            transforms = [group_fourier(f, r) for r in reps]
+            vals = random_values(group, 2, seed)
+            data = fourier_transform_all(padded_map(st, vals), reps)
             err = max(
-                np.abs(group_fourier_invert(reps, transforms, g) - f.values[g]).max()
+                np.abs(fourier_invert(data, g) - vals[g]).max()
                 for g in range(group.order)
             )
             assert err <= 1e-9
@@ -192,52 +204,55 @@ def test_fourier_roundtrip(maker):
 
 def test_fourier_invert_delta_map():
     group = s3_group()
-    reps = unitary_irreps(group)
-    f = delta_identity_map(group, 2)
-    transforms = [group_fourier(f, r) for r in reps]
-    for t, r in zip(transforms, reps):
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
+    data = fourier_transform_all(padded_map(st, delta_identity_values(group, 2)), reps)
+    for t, r in zip(data.transforms, reps):
         assert np.abs(t.matrix - np.eye(r.dim * 2)).max() <= 1e-10
     for g in range(group.order):
         want = np.eye(2) if g == group.identity else np.zeros((2, 2))
-        assert np.abs(group_fourier_invert(reps, transforms, g) - want).max() <= 1e-9
+        assert np.abs(fourier_invert(data, g) - want).max() <= 1e-9
 
 
 def test_fourier_invert_requires_complete_set():
     group = s3_group()
-    reps = unitary_irreps(group)
-    f = random_map(group, 2, 0)
-    transforms = [group_fourier(f, r) for r in reps]
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
+    f = padded_map(st, random_values(group, 2, 0))
+    data = FourierData(f, tuple(reps[:-1]), tuple(fourier(f, r) for r in reps[:-1]))
     with pytest.raises(IncompleteIrrepSet):
-        group_fourier_invert(reps[:-1], transforms[:-1], 0)
+        fourier_invert(data, 0)
 
 
-# --- convolution, Plancherel ------------------------------------------------------
+# --- convolution, Plancherel on G^0 ---------------------------------------------------
 
 def test_convolve_with_delta_is_identity():
     group = s3_group()
-    f = random_map(group, 2, 1)
-    conv = group_convolve(f, delta_identity_map(group, 2))
+    st = group_with_zero(group)
+    f = padded_map(st, random_values(group, 2, 1))
+    conv = convolve(f, padded_map(st, delta_identity_values(group, 2)))
     assert np.abs(conv.values - f.values).max() <= 1e-12
 
 
 def test_convolution_theorem_s3():
     group = s3_group()
-    reps = unitary_irreps(group)
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
     for seed in range(10):
-        f1 = random_map(group, 2, 2 * seed)
-        f2 = random_map(group, 2, 2 * seed + 1)
-        conv = group_convolve(f1, f2)
+        f1 = padded_map(st, random_values(group, 2, 2 * seed))
+        f2 = padded_map(st, random_values(group, 2, 2 * seed + 1))
+        conv = convolve(f1, f2)
         for rep in reps:
-            lhs = group_fourier(conv, rep).matrix
-            rhs = group_fourier(f1, rep).matrix @ group_fourier(f2, rep).matrix
+            lhs = fourier(conv, rep).matrix
+            rhs = fourier(f1, rep).matrix @ fourier(f2, rep).matrix
             assert np.abs(lhs - rhs).max() <= 1e-9
 
 
 def test_scalar_convolution_z2():
-    group = cyclic_group_table(2)
-    f1 = GroupMatrixMap(group, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
-    f2 = GroupMatrixMap(group, 1, np.array([[[3.0]], [[5.0]]], dtype=complex))
-    conv = group_convolve(f1, f2)
+    st = group_with_zero(cyclic_group_table(2))
+    f1 = padded_map(st, np.array([[[1.0]], [[2.0]]]))
+    f2 = padded_map(st, np.array([[[3.0]], [[5.0]]]))
+    conv = convolve(f1, f2)
     # (f1*f2)(e) = 1*3 + 2*5, (f1*f2)(a) = 1*5 + 2*3
     assert conv.values[0, 0, 0] == pytest.approx(13.0)
     assert conv.values[1, 0, 0] == pytest.approx(11.0)
@@ -245,81 +260,80 @@ def test_scalar_convolution_z2():
 
 def test_plancherel_zero_map():
     group = cyclic_group_table(3)
-    reps = unitary_irreps(group)
-    f = random_map(group, 2, 4)
-    zero = GroupMatrixMap(group, 2, np.zeros((3, 2, 2), dtype=complex))
-    lhs, rhs, residual = group_plancherel_check(f, zero, reps)
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
+    f = padded_map(st, random_values(group, 2, 4))
+    zero = padded_map(st, np.zeros((3, 2, 2), dtype=complex))
+    lhs, rhs, residual = plancherel_on_group(f, zero, reps, group.order)
     assert np.abs(lhs).max() == 0.0 and np.abs(rhs).max() <= 1e-12
     assert residual <= 1e-12
 
 
 def test_plancherel_random_z3():
     group = cyclic_group_table(3)
-    reps = unitary_irreps(group)
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
     for seed in range(20):
-        f1 = random_map(group, 2, 100 + seed)
-        f2 = random_map(group, 2, 200 + seed)
-        _, _, residual = group_plancherel_check(f1, f2, reps)
+        f1 = padded_map(st, random_values(group, 2, 100 + seed))
+        f2 = padded_map(st, random_values(group, 2, 200 + seed))
+        _, _, residual = plancherel_on_group(f1, f2, reps, group.order)
         assert residual <= 1e-9
 
 
 def test_plancherel_delta_maps():
     group = cyclic_group_table(2)
-    reps = unitary_irreps(group)
-    f = delta_identity_map(group, 2)
-    lhs, rhs, residual = group_plancherel_check(f, f, reps)
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
+    f = padded_map(st, delta_identity_values(group, 2))
+    lhs, rhs, residual = plancherel_on_group(f, f, reps, group.order)
     assert np.abs(lhs - np.eye(2)).max() <= 1e-12
     assert residual <= 1e-10
 
 
-# --- positive definiteness and Bochner ----------------------------------------------
+# --- positive definiteness and Bochner on G^0 ------------------------------------------
 
 def test_pd_constant_identity():
-    group = cyclic_group_table(2)
-    f = GroupMatrixMap(group, 2, np.stack([np.eye(2), np.eye(2)]).astype(complex))
-    ok, _ = group_pd_check(f)
-    assert ok
+    st = group_with_zero(cyclic_group_table(2))
+    f = padded_map(st, np.stack([np.eye(2), np.eye(2)]))
+    assert pd_check(f, "groupoid").verdict
 
 
 def test_pd_sign_character():
-    group = cyclic_group_table(2)
-    f = GroupMatrixMap(group, 1, np.array([[[1.0]], [[-1.0]]], dtype=complex))
-    ok, witness = group_pd_check(f)
-    assert ok and witness == pytest.approx(0.0, abs=1e-12)
+    st = group_with_zero(cyclic_group_table(2))
+    got = pd_check(padded_map(st, np.array([[[1.0]], [[-1.0]]])), "groupoid")
+    assert got.verdict and got.witness == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pd_rejects_lopsided_scalar_map():
-    group = cyclic_group_table(2)
-    f = GroupMatrixMap(group, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
-    ok, witness = group_pd_check(f)
-    assert not ok and witness == pytest.approx(-1.0, abs=1e-12)
+    st = group_with_zero(cyclic_group_table(2))
+    got = pd_check(padded_map(st, np.array([[[1.0]], [[2.0]]])), "groupoid")
+    assert not got.verdict and got.witness == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_bochner_gram_maps():
     for group in (cyclic_group_table(2), s3_group()):
-        reps = unitary_irreps(group)
+        st = group_with_zero(group)
+        reps = induced_irreps(st)
         for seed in range(100):
-            report = group_bochner_check(gram_map(group, 2, seed), reps)
-            assert report.pd_verdict and report.transforms_verdict
+            report = bochner_check(padded_map(st, gram_values(group, 2, seed)), reps)
+            assert report.pd.verdict and report.transforms_verdict
 
 
 def test_bochner_sign_character():
-    group = cyclic_group_table(2)
-    reps = unitary_irreps(group)
-    f = GroupMatrixMap(group, 1, np.array([[[1.0]], [[-1.0]]], dtype=complex))
-    report = group_bochner_check(f, reps)
-    assert report.pd_verdict and report.transforms_verdict
+    st = group_with_zero(cyclic_group_table(2))
+    reps = induced_irreps(st)
+    report = bochner_check(padded_map(st, np.array([[[1.0]], [[-1.0]]])), reps)
+    assert report.pd.verdict and report.transforms_verdict
     witnesses = sorted(w for _, _, w in report.transform_verdicts)
     assert witnesses[0] == pytest.approx(0.0, abs=1e-12)
     assert witnesses[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bochner_lopsided_map_disagrees_nowhere():
-    group = cyclic_group_table(2)
-    reps = unitary_irreps(group)
-    f = GroupMatrixMap(group, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
-    report = group_bochner_check(f, reps)
-    assert not report.pd_verdict and not report.transforms_verdict
+    st = group_with_zero(cyclic_group_table(2))
+    reps = induced_irreps(st)
+    report = bochner_check(padded_map(st, np.array([[[1.0]], [[2.0]]])), reps)
+    assert not report.pd.verdict and not report.transforms_verdict
     # trivial-rep transform is 3 >= 0 but the sign transform is -1
     witnesses = sorted(w for _, _, w in report.transform_verdicts)
     assert witnesses[0] == pytest.approx(-1.0, abs=1e-12)
@@ -328,8 +342,8 @@ def test_bochner_lopsided_map_disagrees_nowhere():
 
 def test_bochner_never_disagrees_on_random_maps():
     group = cyclic_group_table(3)
-    reps = unitary_irreps(group)
+    st = group_with_zero(group)
+    reps = induced_irreps(st)
     for seed in range(1000):
-        f = random_map(group, 1, 5000 + seed)
-        report = group_bochner_check(f, reps)
-        assert report.pd_verdict == report.transforms_verdict
+        report = bochner_check(padded_map(st, random_values(group, 1, 5000 + seed)), reps)
+        assert report.pd.verdict == report.transforms_verdict

@@ -8,6 +8,7 @@ from semifourier.harmonic import (
     NATURAL,
     FourierData,
     MatrixMap,
+    check_irreps_complete,
     conjugated_rep,
     fourier,
     fourier_invert,
@@ -276,6 +277,33 @@ def test_family_missing_a_dclass_is_rejected(i2):
         invert_to_map(data)
     with pytest.raises(IncompleteIrrepSet):
         plancherel_check(f, f, ones)
+
+
+def test_family_repeating_an_irrep_is_rejected():
+    # [D0.0, D0.0] on C_2^0 has sum d^2 = 2 = |D_0|, yet one irrep is missing
+    st = get_structure("builtin:cyclic_with_zero:2")
+    rep = get_irreps("builtin:cyclic_with_zero:2")[0]
+    twice = [rep, rep]
+    assert sum(r.dim * r.dim for r in twice) == len(st.dclasses[0])
+    f = random_matrix_map(st, 2, 8)
+    data = FourierData(f, tuple(twice), tuple(fourier(f, r) for r in twice))
+    with pytest.raises(IncompleteIrrepSet):
+        check_irreps_complete(st, twice)
+    with pytest.raises(IncompleteIrrepSet):
+        invert_to_map(data)
+    with pytest.raises(IncompleteIrrepSet):
+        fourier_invert(data, st.nonzero[0])
+    with pytest.raises(IncompleteIrrepSet):
+        plancherel_check(f, f, twice)
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4",))
+def test_conjugated_family_passes_the_completeness_check(ref):
+    # characters are invariant under conjugation, so an equivalent family is complete
+    reps = get_irreps(ref)
+    conj = [conjugated_rep(rep, random_unitary(rep.dim, seed=70 + i)) for i, rep in enumerate(reps)]
+    check_irreps_complete(get_structure(ref), reps)
+    check_irreps_complete(get_structure(ref), conj)
 
 
 def test_inversion_invariant_under_unitary_conjugation(i2):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from semifourier.errors import SizeLimit
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, induced_irreps
+from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap
 from semifourier.jsonio import (
-    irreps_to_json,
     map_from_json,
     map_to_json,
     matrix_from_json,
@@ -94,12 +93,3 @@ def test_supermap_roundtrip():
     t = Supermap(2, 2, 2, 2, act)
     back = supermap_from_json(json.loads(json.dumps(supermap_to_json(t))))
     assert np.abs(back.action - t.action).max() == 0.0
-
-
-def test_irreps_export_shape():
-    st = get_structure("builtin:symmetric_inverse:2")
-    reps = induced_irreps(st, seed=0)
-    obj = irreps_to_json(reps)
-    assert obj["dims"] == [r.dim for r in reps]
-    assert set(obj["matrices"]) == {r.irrep_id for r in reps}
-    assert len(obj["characters"]) == len(reps)

@@ -23,14 +23,12 @@ from semifourier.errors import (
     WrongBasis,
 )
 from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, combine, from_groupoid, to_groupoid
-from semifourier.maps import convolve, tensor_lift, tensor_mul
+from semifourier.maps import convolve
 from semifourier.grouprep import (
     MAX_GROUP_ORDER,
-    GroupMatrixMap,
     _char_key,
     _SplitFailed,
     _verify_rep,
-    group_pd_matrix,
     unitary_irreps,
 )
 from semifourier import positivity
@@ -242,21 +240,13 @@ def oracle_rep_residual(rho):
     return worst
 
 
-# --- convolution and the tensor product -------------------------------------------
+# --- convolution ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("ref,n", CASES)
 def test_convolve_matches_pair_sum(ref, n):
     st = get_structure(ref)
     f, g = random_map(st, n, 1), random_map(st, n, 2)
     assert_close(convolve(f, g).values, oracle_product(st, f.values, g.values))
-
-
-@pytest.mark.parametrize("ref,n", CASES)
-def test_tensor_mul_matches_pair_sum(ref, n):
-    st = get_structure(ref)
-    f, g = random_map(st, n, 3), random_map(st, n, 4)
-    got = tensor_mul(tensor_lift(f), tensor_lift(g)).coeffs
-    assert_close(got, oracle_product(st, f.values, g.values))
 
 
 # --- positive-definiteness matrices ---------------------------------------------------
@@ -738,18 +728,6 @@ def test_verify_rep_matches_loop(group):
         flipped[(group.identity + 1) % group.order] *= -1.0  # unitary, not multiplicative
         for bad in (off, scaled, flipped):
             assert verdict(bad) == oracle_verify_rep(group, bad, 1e-10) is not None
-
-
-@pytest.mark.parametrize("group", list(group_cases()), ids=lambda g: f"order{g.order}")
-@pytest.mark.parametrize("n", [1, 2])
-def test_group_pd_matrix_equals_loop_assembly_bitwise(group, n):
-    rng = np.random.default_rng([group.order, n, 41])
-    vals = rng.standard_normal((group.order, n, n)) + 1j * rng.standard_normal((group.order, n, n))
-    want = np.zeros((group.order * n, group.order * n), dtype=complex)
-    for g in range(group.order):
-        for h in range(group.order):
-            want[g * n : (g + 1) * n, h * n : (h + 1) * n] = vals[group.mul(int(group.inv[g]), h)]
-    assert np.array_equal(group_pd_matrix(GroupMatrixMap(group, n, vals)), want)
 
 
 # --- structure setup ------------------------------------------------------------------

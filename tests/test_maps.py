@@ -5,7 +5,6 @@ import pytest
 
 from semifourier.cxmat import BlockTensor
 from semifourier.errors import DimensionMismatch, IndexOutOfRange, WrongSemigroup
-from semifourier.grouprep import GroupMatrixMap, group_convolve
 from semifourier.harmonic import NATURAL, MatrixMap
 from semifourier.maps import (
     Supermap,
@@ -22,9 +21,6 @@ from semifourier.maps import (
     supermap_basis,
     supermap_convolve,
     supermap_reconstruction,
-    tensor_lift,
-    tensor_mul,
-    tensor_to_map,
     unit_supermap,
 )
 from semifourier.semigroup import cyclic_group_table, matrix_unit_index
@@ -41,6 +37,15 @@ def random_map(st, n, seed, integer=False):
             (st.table.order, n, n)
         )
     return MatrixMap(st, n, NATURAL, vals)
+
+
+def group_convolution(group, a, b):
+    """(a * b)(g) = sum_h a(h) b(h^-1 g) on a group's value tables, pair by pair."""
+    out = np.zeros_like(a)
+    for k in range(group.order):
+        for i in range(group.order):
+            out[k] += a[i] @ b[group.mul(int(group.inv[i]), k)]
+    return out
 
 
 def random_supermap(seed):
@@ -73,10 +78,8 @@ def test_convolve_reduces_to_group_convolution():
     g = random_map(st, 2, 3)
     conv = convolve(f, g)
     # nonzero part is exactly the group convolution on Z3 (element i+1 <-> g_i)
-    gf = GroupMatrixMap(group, 2, f.values[1:])
-    gg = GroupMatrixMap(group, 2, g.values[1:])
-    want = group_convolve(gf, gg)
-    assert np.abs(conv.values[1:] - want.values).max() <= 1e-12
+    want = group_convolution(group, f.values[1:], g.values[1:])
+    assert np.abs(conv.values[1:] - want).max() <= 1e-12
 
 
 def test_convolve_with_idempotent_delta_is_identity():
@@ -101,40 +104,52 @@ def test_convolve_associative():
         assert np.abs(lhs.values - rhs.values).max() <= 1e-9
 
 
-# --- tensor lift ---------------------------------------------------------------
+# --- tensor lift --------------------------------------------------------------
+# A natural-basis map's values are the coefficients of its lift sum_s s (x) Phi(s)
+# in C0[S] (x) M_n, and convolution is the product of lifts.
+
+def lift_product(st, f, g):
+    """(sum_s s (x) Phi(s)) (sum_t t (x) Psi(t)) = sum_{s, t} st (x) Phi(s) Psi(t), pair by pair."""
+    out = np.zeros_like(f.values)
+    for s in st.nonzero:
+        for t in st.nonzero:
+            out[st.mul(s, t)] += f.values[s] @ g.values[t]
+    out[st.zero] = 0.0
+    return out
+
 
 def test_tensor_lift_zero_map(i2):
     zero = MatrixMap(i2, 2, NATURAL, np.zeros((7, 2, 2), dtype=complex))
-    assert np.abs(tensor_lift(zero).coeffs).max() == 0.0
+    assert np.abs(zero.values).max() == 0.0
+    assert np.abs(convolve(zero, random_map(i2, 2, 7)).values).max() == 0.0
 
 
 def test_tensor_lift_intertwines_convolution_exactly():
     st = get_structure("builtin:matrix_units:2")
     f = random_map(st, 2, 5, integer=True)
     g = random_map(st, 2, 6, integer=True)
-    lifted = tensor_mul(tensor_lift(f), tensor_lift(g))
+    lifted = map_values_convolve(f.values[1:].reshape(2, 2, 2, 2), g.values[1:].reshape(2, 2, 2, 2))
     conv = convolve(f, g)
-    assert np.array_equal(lifted.coeffs, conv.values)
+    assert np.array_equal(lifted.reshape(4, 2, 2), conv.values[1:])
 
 
 def test_tensor_lift_intertwines_on_i2(i2):
     f = random_map(i2, 2, 7)
     g = random_map(i2, 2, 8)
-    lifted = tensor_mul(tensor_lift(f), tensor_lift(g))
+    lifted = lift_product(i2, f, g)
     conv = convolve(f, g)
-    assert np.abs(lifted.coeffs - conv.values).max() <= 1e-12
-    assert np.abs(tensor_to_map(lifted).values - conv.values).max() <= 1e-12
+    assert np.abs(lifted - conv.values).max() <= 1e-12
+    assert conv.basis == NATURAL
 
 
 def test_tensor_lift_flattens_to_choi():
     st = get_structure("builtin:matrix_units:2")
     f = random_map(st, 2, 9)
-    lifted = tensor_lift(f)
     c = choi(f).reshaped()
     for i in (1, 2):
         for j in (1, 2):
             assert np.array_equal(
-                lifted.coeffs[matrix_unit_index(2, i, j)], c[i - 1, :, j - 1, :]
+                f.values[matrix_unit_index(2, i, j)], c[i - 1, :, j - 1, :]
             )
 
 
