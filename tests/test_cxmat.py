@@ -189,3 +189,11 @@ def test_block_tensor_shape_guard():
     with pytest.raises(DimensionMismatch):
         BlockTensor(2, 2, np.zeros((3, 3)))
 
+
+def test_hermitian_defect():
+    # psd_verdict's defect, max |a - a^dagger|, is the one is_psd raises NotHermitian from
+    assert psd_verdict([I2])[2] == 0.0
+    skew = np.array([[0.0, 2.0], [0.0, 0.0]])
+    assert psd_verdict([skew])[2] == 2.0
+    with pytest.raises(NotHermitian):
+        is_psd(skew)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from semifourier.cli import main
 from semifourier.errors import SizeLimit
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap
+from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, induced_irreps
 from semifourier.jsonio import (
     map_from_json,
     map_to_json,
@@ -22,7 +23,7 @@ from semifourier.maps import Supermap
 from semifourier.positivity import conjugation_rep, gram_pd_map, random_unitary
 from semifourier.semigroup import MAX_ORDER, build_cyclic_with_zero
 
-from conftest import get_structure
+from conftest import SAMPLE_DATA, get_structure
 
 
 def test_matrix_roundtrip():
@@ -93,3 +94,16 @@ def test_supermap_roundtrip():
     t = Supermap(2, 2, 2, 2, act)
     back = supermap_from_json(json.loads(json.dumps(supermap_to_json(t))))
     assert np.abs(back.action - t.action).max() == 0.0
+
+
+def test_irreps_export_shape(capsys):
+    # the fourier report exports one (d n) x (d n) transform per induced irrep, in family order
+    st = get_structure("builtin:symmetric_inverse:2")
+    reps = induced_irreps(st, seed=0)
+    assert main(["fourier", str(SAMPLE_DATA / "random_i2_seed0.json")]) == 0
+    obj = json.loads(capsys.readouterr().out)["result"]
+    n = obj["target_dim"]
+    assert [t["dim"] for t in obj["transforms"].values()] == [r.dim for r in reps]
+    assert set(obj["transforms"]) == {r.irrep_id for r in reps}
+    for r in reps:
+        assert matrix_from_json(obj["transforms"][r.irrep_id]["matrix"]).shape == (r.dim * n, r.dim * n)

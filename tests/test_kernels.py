@@ -62,7 +62,7 @@ from semifourier.semigroup import (
     validate_semigroup,
 )
 
-from conftest import BUILTINS, get_irreps, get_structure, inverse_subsemigroup
+from conftest import BUILTINS, get_irreps, get_structure, group_with_zero, inverse_subsemigroup, padded_map
 
 REFS = (
     "builtin:symmetric_inverse:2",
@@ -247,6 +247,28 @@ def test_convolve_matches_pair_sum(ref, n):
     st = get_structure(ref)
     f, g = random_map(st, n, 1), random_map(st, n, 2)
     assert_close(convolve(f, g).values, oracle_product(st, f.values, g.values))
+
+
+def oracle_left_regular(st, a):
+    """sum over nonzero s of lambda(s) (x) a[s], lambda(s) the left multiplication of C0[S]."""
+    n = a.shape[-1]
+    out = np.zeros((st.table.order * n, st.table.order * n), dtype=complex)
+    for s in st.nonzero:
+        for t in st.nonzero:
+            k = st.mul(s, t)
+            if k != st.zero:
+                out[k * n : (k + 1) * n, t * n : (t + 1) * n] += a[s]
+    return out
+
+
+@pytest.mark.parametrize("ref,n", CASES)
+def test_tensor_mul_matches_pair_sum(ref, n):
+    # a natural map stores sum_s s (x) Phi(s) in C0[S] (x) M_n; its convolution
+    # is that algebra's product, as the left-regular images multiply
+    st = get_structure(ref)
+    f, g = random_map(st, n, 3), random_map(st, n, 4)
+    got = oracle_left_regular(st, convolve(f, g).values)
+    assert_close(got, oracle_left_regular(st, f.values) @ oracle_left_regular(st, g.values))
 
 
 # --- positive-definiteness matrices ---------------------------------------------------
@@ -728,6 +750,24 @@ def test_verify_rep_matches_loop(group):
         flipped[(group.identity + 1) % group.order] *= -1.0  # unitary, not multiplicative
         for bad in (off, scaled, flipped):
             assert verdict(bad) == oracle_verify_rep(group, bad, 1e-10) is not None
+
+
+@pytest.mark.parametrize("group", list(group_cases()), ids=lambda g: f"order{g.order}")
+@pytest.mark.parametrize("n", [1, 2])
+def test_group_pd_matrix_equals_loop_assembly_bitwise(group, n):
+    # on G^0 the groupoid PD matrix is one R-block, [f(g^-1 h)] over g, h in G
+    rng = np.random.default_rng([group.order, n, 41])
+    vals = rng.standard_normal((group.order, n, n)) + 1j * rng.standard_normal((group.order, n, n))
+    st = group_with_zero(group)
+    (es, stack), = _r_class_grams(padded_map(st, vals), st.base_idempotents)
+    members = st.groupoid_factors[0][es[0]]
+    members = members[members != st.zero]
+    assert sorted(members.tolist()) == list(range(group.order))
+    want = np.zeros((group.order * n, group.order * n), dtype=complex)
+    for a, g in enumerate(members):
+        for b, h in enumerate(members):
+            want[a * n : (a + 1) * n, b * n : (b + 1) * n] = vals[group.mul(int(group.inv[g]), int(h))]
+    assert np.array_equal(stack[0], want)
 
 
 # --- structure setup ------------------------------------------------------------------
