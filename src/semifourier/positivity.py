@@ -32,6 +32,7 @@ from .harmonic import (
     NATURAL,
     InducedRep,
     MatrixMap,
+    check_irreps_complete,
     combine,
     fourier,
     induced_irreps,
@@ -216,11 +217,14 @@ def bochner_check(
 
     The Fourier transforms are those of f itself; the PD verdict is taken on
     the groupoid-side coefficients, exactly as the biconditional states it.
-    A decisive disagreement raises InternalInconsistency (a bug signal).
+    A decisive disagreement raises InternalInconsistency (a bug signal); a
+    family passed as reps that is not complete raises IncompleteIrrepSet.
     """
     st = f.structure
     if reps is None:
         reps = induced_irreps(st, seed=seed)
+    else:
+        check_irreps_complete(st, reps)
     tilde = f if f.basis == GROUPOID else to_groupoid(f)
     pd = pd_check(tilde, "groupoid", tol)
     per = []

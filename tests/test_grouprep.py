@@ -340,6 +340,26 @@ def test_bochner_lopsided_map_disagrees_nowhere():
     assert witnesses[1] == pytest.approx(3.0, abs=1e-12)
 
 
+def test_bochner_rejects_an_incomplete_or_repeated_family():
+    # with [D0.1, D0.1] (the trivial irrep twice) the lopsided map's PD witness
+    # of -1 would meet a transform witness of 3 as a decisive disagreement
+    st = group_with_zero(cyclic_group_table(2))
+    reps = induced_irreps(st)
+    trivial = next(r for r in reps if np.allclose(r.characters[: st.table.order - 1], 1))
+    f = padded_map(st, np.array([[[1.0]], [[2.0]]]))
+    for family in ([trivial, trivial], reps[:1], reps[1:], []):
+        with pytest.raises(IncompleteIrrepSet):
+            bochner_check(f, family)
+    group = s3_group()
+    st3 = group_with_zero(group)
+    reps3 = induced_irreps(st3)
+    big = next(r for r in reps3 if r.dim == 2)
+    ones = [r for r in reps3 if r.dim == 1]
+    for family in ([big, big] + ones[:1], ones + ones + [big]):
+        with pytest.raises(IncompleteIrrepSet):
+            bochner_check(padded_map(st3, gram_values(group, 2, 0)), family)
+
+
 def test_bochner_never_disagrees_on_random_maps():
     group = cyclic_group_table(3)
     st = group_with_zero(group)

@@ -61,10 +61,9 @@ def main() -> int:
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--head", required=True, help="git revision of the change")
     p.add_argument("--seeds", default="0", help="comma-separated benchmark seeds")
-    p.add_argument("--workdir", default=None, help="where the exported trees go (default: system temp)")
     args = p.parse_args()
 
-    into = Path(tempfile.mkdtemp(prefix="cli-reports-", dir=args.workdir))
+    into = Path(tempfile.mkdtemp(prefix="cli-reports-"))
     try:
         trees = {"base": export(args.base, into), "head": export(args.head, into)}
         workload = cli_verbs(trees["head"])
