@@ -22,6 +22,7 @@ from . import __version__
 from .cxmat import DEFAULT_TOL
 from .errors import PRECONDITION_ERRORS, STRUCTURE_ERRORS, Error, NotPositiveDefinite, ParseError
 from .harmonic import (
+    fourier,
     fourier_transform_all,
     from_groupoid,
     induced_irreps,
@@ -45,7 +46,7 @@ from .positivity import (
     pd_check,
     stinespring,
 )
-from .semigroup import groupoid_basis_matrices, inverse_structure, maximal_subgroup
+from .semigroup import build_matrix_units, groupoid_basis_matrices, inverse_structure, maximal_subgroup
 
 PARSE_EXIT = 2
 STRUCTURE_EXIT = 3
@@ -228,10 +229,8 @@ def cmd_convolve(args) -> dict:
     reps = induced_irreps(f.structure, seed=args.seed)
     worst = 0.0
     for rep in reps:
-        lhs = fourier_transform_all(conv, [rep]).transforms[0].matrix
-        ff = fourier_transform_all(f, [rep]).transforms[0].matrix
-        gg = fourier_transform_all(g, [rep]).transforms[0].matrix
-        worst = max(worst, _residual_summary(lhs, ff @ gg))
+        ff, gg = fourier(f, rep).matrix, fourier(g, rep).matrix
+        worst = max(worst, _residual_summary(fourier(conv, rep).matrix, ff @ gg))
     return {
         "convolution": map_to_json(conv)["values"],
         "fourier_product_residual": worst,
@@ -283,8 +282,6 @@ def cmd_stinespring(args) -> dict:
 
 def cmd_cpprobe(args) -> dict:
     rho = _parse(load_rep, args.rep)
-    from .semigroup import build_matrix_units
-
     st = inverse_structure(build_matrix_units(rho.m))
     report = cp_correspondence_probe(
         rho, st, trials=args.trials, seed=args.seed, n=args.target_dim, tol=args.tol

@@ -25,7 +25,7 @@ from .errors import (
     WrongBasis,
 )
 from .grouprep import GroupRep, unitary_irreps
-from .semigroup import InverseStructure, maximal_subgroup, steinberg_phi
+from .semigroup import InverseStructure, maximal_subgroup
 
 NATURAL = "natural"
 GROUPOID = "groupoid"
@@ -139,26 +139,25 @@ class InducedRep:
 
 
 def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
-    """The complete induced family, ordered by (class, subgroup irrep)."""
+    """The complete induced family, ordered by (class, subgroup irrep).
+
+    x holds rho(g(x)) in block (ran x, dom x), g(x) from ``group_coordinates``.
+    """
     n = s.table.order
+    pos = np.zeros(n, dtype=np.intp)  # place of each idempotent within its class
     reps: list[InducedRep] = []
     for k, cls in enumerate(s.dclasses):
-        ek = s.base_idempotents[k]
-        subgroup = maximal_subgroup(s, ek)
+        subgroup = maximal_subgroup(s, s.base_idempotents[k])
         idems = s.class_idempotents(k)
-        pos = {e: i for i, e in enumerate(idems)}
-        r = len(idems)
+        pos[list(idems)] = np.arange(len(idems))
+        r, x = len(idems), np.asarray(cls, dtype=np.intp)
+        a, b = pos[s.ran[x]], pos[s.dom[x]]
+        local = np.searchsorted(subgroup.ambient, s.group_coordinates[x])
         for i, rho in enumerate(unitary_irreps(subgroup, seed=seed)):
             d = rho.dim
-            dim = r * d
-            mats = np.zeros((n, dim, dim), dtype=complex)
-            for x in cls:
-                _, g, a, b = steinberg_phi(s, x)
-                a, b = pos[a], pos[b]
-                mats[x, a * d : (a + 1) * d, b * d : (b + 1) * d] = rho.matrices[
-                    subgroup.local_of_ambient(g)
-                ]
-            reps.append(InducedRep(s, k, rho, dim, mats, f"D{k}.{i}"))
+            mats = np.zeros((n, r, d, r, d), dtype=complex)
+            mats[x, a, :, b, :] = rho.matrices[local]
+            reps.append(InducedRep(s, k, rho, r * d, mats.reshape(n, r * d, r * d), f"D{k}.{i}"))
     return reps
 
 
@@ -170,15 +169,25 @@ class FourierData:
     reps: tuple[InducedRep, ...]
     transforms: tuple[BlockTensor, ...]
 
+    @cached_property
+    def checked_complete(self) -> bool:
+        """check_irreps_complete, run once: a failing family raises and caches nothing."""
+        check_irreps_complete(self.map.structure, self.reps)
+        return True
+
+
+def transform(mats: np.ndarray, vals: np.ndarray) -> BlockTensor:
+    """sum_s mats[s] (x) vals[s]: the Fourier transform at the rep with these matrices."""
+    d, n = mats.shape[1], vals.shape[1]
+    mat = np.einsum("sab,sij->aibj", mats, vals).reshape(d * n, d * n)
+    return BlockTensor(d, n, mat)
+
 
 def fourier(f: MatrixMap, rep: InducedRep) -> BlockTensor:
     """Fourier transform at one irrep: sum_s sigma(floor(s)) (x) PhiT(floor(s))."""
     if not f.structure.same_semigroup(rep.structure):
         raise SemigroupMismatch("map and representation live on different semigroups")
-    vals = groupoid_values(f)
-    d, n = rep.dim, f.dim
-    mat = np.einsum("sab,sij->aibj", rep.matrices, vals).reshape(d * n, d * n)
-    return BlockTensor(d, n, mat)
+    return transform(rep.matrices, groupoid_values(f))
 
 
 def fourier_transform_all(f: MatrixMap, reps: list[InducedRep]) -> FourierData:
@@ -218,7 +227,7 @@ def check_irreps_complete(s: InverseStructure, reps) -> None:
 def _invert(data: FourierData, elements: np.ndarray) -> np.ndarray:
     """PhiT(floor(s)) for each s in elements, one einsum per irrep."""
     st = data.map.structure
-    check_irreps_complete(st, data.reps)
+    data.checked_complete  # raises IncompleteIrrepSet unless the family is complete
     n = data.map.dim
     total = np.zeros((len(elements), n, n), dtype=complex)
     weight = np.ones(len(elements))

@@ -62,6 +62,8 @@ def matrix_units_size(structure: InverseStructure) -> int:
 
 def choi(f: MatrixMap) -> BlockTensor:
     """Choi matrix sum_ij e_ij (x) Phi(e_ij) of a map on matrix units."""
+    # this is harmonic.transform at positivity.identity_rep(m), rho(e_ij) = e_ij;
+    # it stays a layout: there each entry of the einsum sums m^2 terms, all but one zero
     m = matrix_units_size(f.structure)
     # the natural order on matrix units is discrete, so both bases store Phi(e_ij),
     # and e_ij is element 1 + (i-1) m + (j-1): values[1:] is the value table
@@ -157,24 +159,13 @@ class Supermap:
 
 def identity_supermap(m1: int, n2: int) -> Supermap:
     """The supermap Theta(F) = F (source and target spaces coincide)."""
-    action = np.zeros((m1, m1, n2, n2, m1, m1, n2, n2), dtype=complex)
-    for i in range(m1):
-        for j in range(m1):
-            for k in range(n2):
-                for l in range(n2):
-                    action[i, j, k, l, i, j, k, l] = 1.0
+    action = np.eye((m1 * n2) ** 2).reshape(m1, m1, n2, n2, m1, m1, n2, n2)
     return Supermap(m1, n2, m1, n2, action)
 
 
 def unit_supermap(m1: int, n2: int, m3: int, n4: int) -> Supermap:
     """The unit of star convolution: E_ijkl -> delta_ij delta_kl (unit of *)."""
-    conv_unit = np.zeros((m3, m3, n4, n4), dtype=complex)
-    for p in range(m3):
-        conv_unit[p, p] = np.eye(n4)
-    action = np.zeros((m1, m1, n2, n2, m3, m3, n4, n4), dtype=complex)
-    for i in range(m1):
-        for k in range(n2):
-            action[i, i, k, k] = conv_unit
+    action = np.einsum("ij,kl,pq,rs->ijklpqrs", np.eye(m1), np.eye(n2), np.eye(m3), np.eye(n4))
     return Supermap(m1, n2, m3, n4, action)
 
 
@@ -195,11 +186,6 @@ def representing_map(t: Supermap, x: BlockTensor) -> BlockTensor:
 
 def supermap_reconstruction(t: Supermap) -> np.ndarray:
     """The tensor sum_ijkl E_ijkl (x) Theta(E_ijkl): the action table itself."""
-    out = np.zeros_like(t.action)
-    for i in range(t.m1):
-        for j in range(t.m1):
-            for k in range(t.n2):
-                for l in range(t.n2):
-                    basis = supermap_basis(i + 1, j + 1, k + 1, l + 1, t.m1, t.n2)
-                    out[i, j, k, l] = t.apply(basis)
-    return out
+    # basis[i, j, k, l] is the value table of E_ijkl, as supermap_basis builds it
+    basis = np.eye((t.m1 * t.n2) ** 2).reshape(t.action.shape[:4] * 2)
+    return np.einsum("ijklabcd,abcdpqrs->ijklpqrs", basis, t.action)

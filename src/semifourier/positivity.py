@@ -37,9 +37,10 @@ from .harmonic import (
     fourier,
     induced_irreps,
     to_groupoid,
+    transform,
 )
 from .maps import choi, map_from_choi, matrix_units_size
-from .semigroup import InverseStructure, build_matrix_units
+from .semigroup import InverseStructure, build_matrix_units, inverse_structure
 
 PD_MODES = ("natural", "groupoid", "blocks")
 
@@ -336,8 +337,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     # move the base R-classes to the others: u -> p_e u, padding z -> z
     idem = np.array(st.idempotents, dtype=np.intp)
     base = np.array(st.base_idempotents, dtype=np.intp)[st.class_of[idem]]
-    p = np.array([st.transversals[e] for e in st.idempotents], dtype=np.intp)
-    moved = tab[p[:, None], r_classes[base]]
+    moved = tab[st.transversal_at[idem][:, None], r_classes[base]]
     coords_at[moved] = coords_at[r_classes[base]]
     lift_at[moved] = lift_at[r_classes[base]]
     dims[idem] = dims[base]
@@ -437,10 +437,8 @@ def rep_fourier(rho: MatrixAlgebraRep, f: MatrixMap) -> BlockTensor:
     m = matrix_units_size(f.structure)
     if m != rho.m:
         raise DimensionMismatch("representation and map have different source sizes")
-    d, n = rho.dim, f.dim
-    # e_ij is element 1 + (i-1) m + (j-1), so values[1:] is the value table
-    out = np.einsum("pqab,pqij->aibj", rho.matrices, f.values[1:].reshape(m, m, n, n))
-    return BlockTensor(d, n, out.reshape(d * n, d * n))
+    # e_ij is element 1 + (i-1) m + (j-1), so values[1:] runs over the units in rho's order
+    return transform(rho.matrices.reshape(m * m, rho.dim, rho.dim), f.values[1:])
 
 
 def is_unitary_conjugation_rep(
@@ -473,15 +471,8 @@ def is_unitary_conjugation_rep(
     unitary_defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
     if unitary_defect > 1e-6:
         return False, u, float("inf")
-    residual = 0.0
-    eij = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            eij[:] = 0.0
-            eij[i, j] = 1.0
-            residual = max(
-                residual, float(np.abs(rho.matrices[i, j] - u @ eij @ u.conj().T).max())
-            )
+    # U e_ij U^dagger is the outer product of columns i and j of U
+    residual = float(np.abs(rho.matrices - np.einsum("ai,bj->ijab", u, u.conj())).max())
     return residual <= 1e-6, u, residual
 
 
@@ -534,10 +525,7 @@ def _probe_map(structure, m, n, kind, seed, trial) -> MatrixMap:
         return random_cp_map(m, n, kraus_count=2, seed=seed * 100003 + trial, structure=structure)
     if kind == "transposed_kraus":
         f = random_cp_map(m, n, kraus_count=2, seed=seed * 100003 + trial, structure=structure)
-        vals = f.values.copy()
-        for s in structure.nonzero:
-            vals[s] = f.values[s].T
-        return MatrixMap(structure, n, NATURAL, vals)
+        return MatrixMap(structure, n, NATURAL, f.values.swapaxes(1, 2))
     if kind == "hermitian_nonpositive":
         rng = np.random.default_rng([seed, trial, 7])
         h = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
@@ -548,6 +536,15 @@ def _probe_map(structure, m, n, kind, seed, trial) -> MatrixMap:
 
 # --- map generators -----------------------------------------------------------
 
+def _matrix_units(m: int, structure: InverseStructure | None) -> InverseStructure:
+    """matrix_units:m when structure is None; else structure, which must be matrix_units:m."""
+    if structure is None:
+        return inverse_structure(build_matrix_units(m))
+    if matrix_units_size(structure) != m:
+        raise WrongSemigroup(f"structure is not matrix_units:{m}")
+    return structure
+
+
 def kraus_map(
     kraus_ops: list[np.ndarray], structure: InverseStructure | None = None
 ) -> MatrixMap:
@@ -556,13 +553,7 @@ def kraus_map(
     n, m = ops[0].shape
     if any(k.shape != (n, m) for k in ops):
         raise DimensionMismatch("Kraus operators must share one shape")
-    if structure is None:
-        from .semigroup import inverse_structure
-
-        structure = inverse_structure(build_matrix_units(m))
-    else:
-        if matrix_units_size(structure) != m:
-            raise WrongSemigroup("structure does not match Kraus input dimension")
+    structure = _matrix_units(m, structure)
     vals = np.zeros((structure.table.order, n, n), dtype=complex)
     # Phi(e_ij) = sum_k K_k e_ij K_k^dagger = sum_k (column i of K_k)(column j of K_k)^dagger
     vals[1:] = np.einsum("kai,kbj->ijab", ops, np.conj(ops)).reshape(m * m, n, n)
@@ -586,10 +577,7 @@ def random_cp_map(
 
 def transpose_map(m: int, structure: InverseStructure | None = None) -> MatrixMap:
     """The transpose map on M_m: positive but famously not CP for m >= 2."""
-    if structure is None:
-        from .semigroup import inverse_structure
-
-        structure = inverse_structure(build_matrix_units(m))
+    structure = _matrix_units(m, structure)
     vals = np.zeros((structure.table.order, m, m), dtype=complex)
     # Phi(e_ij) = e_ji: the identity map's value table with the output axes swapped
     vals[1:] = np.eye(m * m).reshape(m, m, m, m).transpose(0, 1, 3, 2).reshape(m * m, m, m)
@@ -627,11 +615,7 @@ def random_map(structure: InverseStructure, n: int, seed: int = 0) -> MatrixMap:
 
 
 def identity_rep(m: int) -> MatrixAlgebraRep:
-    mats = np.zeros((m, m, m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            mats[i, j, i, j] = 1.0
-    return MatrixAlgebraRep(m, m, mats)
+    return MatrixAlgebraRep(m, m, np.eye(m * m).reshape(m, m, m, m))
 
 
 def conjugation_rep(u: np.ndarray) -> MatrixAlgebraRep:
@@ -646,10 +630,8 @@ def direct_sum_rep(m: int, copies: int = 2, pad: int = 0) -> MatrixAlgebraRep:
     """rho(X) = X (+) ... (+) X (+) 0_pad: multiplicative but never a unitary conjugation."""
     d = m * copies + pad
     mats = np.zeros((m, m, d, d), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            for c in range(copies):
-                mats[i, j, c * m + i, c * m + j] = 1.0
+    i, j, c = np.indices((m, m, copies))
+    mats[i, j, c * m + i, c * m + j] = 1.0
     return MatrixAlgebraRep(m, d, mats)
 
 

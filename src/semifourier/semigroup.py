@@ -352,6 +352,23 @@ class InverseStructure:
         return left, right
 
     @cached_property
+    def transversal_at(self) -> np.ndarray:
+        """``transversals`` as an array: p_e at each nonzero idempotent e, z elsewhere."""
+        p = np.full(self.table.order, self.zero, dtype=np.intp)
+        p[list(self.transversals)] = list(self.transversals.values())
+        p.setflags(write=False)
+        return p
+
+    @cached_property
+    def group_coordinates(self) -> np.ndarray:
+        """The group coordinate g(x) = p_ran(x)^-1 x p_dom(x) of every element x, z at z."""
+        tab, p = self.table.table, self.transversal_at
+        left = tab[self.inv[p[self.ran]], np.arange(self.table.order)]
+        g = tab[left, p[self.dom]]
+        g.setflags(write=False)
+        return g
+
+    @cached_property
     def leq_float(self) -> np.ndarray:
         """``leq`` cast to float once, for the basis changes."""
         a = self.leq.astype(float)
@@ -482,7 +499,6 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
     leq[z, :] = False
     leq[:, z] = False
 
-    nonzero = [i for i in range(n) if i != z]
     idems = np.asarray(idempotents, dtype=np.intp)
     pos = np.zeros(n, dtype=np.intp)
     pos[idems] = np.arange(len(idems))
@@ -493,36 +509,23 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
         mobius = np.zeros((n, n), dtype=np.int64)
 
     # D-relation: s D t iff some x has dom(x) = ran(s) and ran(x) = ran(t)
+    nz = np.flatnonzero(ar != z)
     linked = np.zeros((n, n), dtype=bool)
-    for x in nonzero:
-        linked[dom[x], ran[x]] = True
+    linked[dom[nz], ran[nz]] = True
     class_of = np.full(n, -1, dtype=np.int32)
-    classes: list[tuple[int, ...]] = []
-    for s in nonzero:
-        if class_of[s] >= 0:
-            continue
-        k = len(classes)
-        members = [u for u in nonzero if class_of[u] < 0 and linked[ran[s], ran[u]]]
-        for u in members:
-            class_of[u] = k
-        classes.append(tuple(members))
+    if nz.size:  # {z} alone: no nonzero element, no class
+        # each class is numbered by its least element, ascending
+        least = linked[ran[nz][:, None], ran[nz]].argmax(axis=1)
+        class_of[nz] = np.unique(least, return_inverse=True)[1]
+    classes = [tuple(nz[class_of[nz] == k].tolist()) for k in range(class_of.max() + 1)]
 
-    ranks = []
-    base = []
-    transversals: dict[int, int] = {}
-    for k, cls in enumerate(classes):
-        idems = [e for e in cls if tab[e, e] == e]
-        ranks.append(len(idems))
-        ek = min(idems)
-        base.append(ek)
-        for e in idems:
-            if e == ek:
-                transversals[e] = ek
-            else:
-                # lowest-index x with dom(x) = e_k and ran(x) = e
-                transversals[e] = next(
-                    x for x in cls if dom[x] == ek and ran[x] == e
-                )
+    # e_k is the least idempotent of class k; p_e is e_k at e = e_k, else the
+    # lowest-index x with dom(x) = e_k and ran(x) = e
+    ranks = np.bincount(class_of[idems], minlength=len(classes))
+    base = idems[np.unique(class_of[idems], return_index=True)[1]]
+    x = nz[dom[nz] == base[class_of[nz]]]
+    lowest = x[np.unique(ran[x], return_index=True)[1]]
+    transversals = dict(zip(idempotents, np.where(np.isin(idems, base), idems, lowest).tolist()))
 
     dom = dom.astype(np.int32)
     ran = ran.astype(np.int32)
@@ -538,8 +541,8 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
         mobius=mobius,
         dclasses=tuple(classes),
         class_of=class_of,
-        ranks=tuple(ranks),
-        base_idempotents=tuple(base),
+        ranks=tuple(ranks.tolist()),
+        base_idempotents=tuple(base.tolist()),
         transversals=transversals,
     )
 
@@ -597,11 +600,7 @@ def steinberg_phi(s: InverseStructure, x: int) -> tuple[int, int, int, int]:
     """
     if x == s.zero:
         raise ValueError("zero has no Steinberg coordinates")
-    k = int(s.class_of[x])
-    a = int(s.ran[x])
-    b = int(s.dom[x])
-    g = s.mul(s.mul(int(s.inv[s.transversals[a]]), x), s.transversals[b])
-    return k, g, a, b
+    return int(s.class_of[x]), int(s.group_coordinates[x]), int(s.ran[x]), int(s.dom[x])
 
 
 def steinberg_phi_inv(s: InverseStructure, k: int, g: int, a: int, b: int) -> int:

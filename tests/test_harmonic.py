@@ -263,6 +263,21 @@ def test_inversion_requires_complete_set(i2):
         fourier_invert(data, i2.nonzero[0])
 
 
+def test_inversion_checks_a_complete_family_once(i2, monkeypatch):
+    import semifourier.harmonic as harmonic
+
+    calls = []
+    check = harmonic.check_irreps_complete
+    monkeypatch.setattr(harmonic, "check_irreps_complete", lambda *a: calls.append(1) or check(*a))
+    f = random_matrix_map(i2, 2, 8)
+    data = fourier_transform_all(f, get_irreps("builtin:symmetric_inverse:2"))
+    back = invert_to_map(data)
+    for s in i2.nonzero:
+        assert np.abs(fourier_invert(data, s) - back.values[s]).max() <= 1e-12
+    assert np.array_equal(invert_to_map(data).values, back.values)
+    assert len(calls) == 1
+
+
 def test_family_missing_a_dclass_is_rejected(i2):
     # the two dimension-1 irreps of I_2, three times over: sum d^2 = |S| - 1,
     # but the class whose irrep has dimension 2 is never covered

@@ -6,6 +6,7 @@ must match it bitwise; kernels that sum products in another order, or solve
 for eigenvalues block by block, must match it to 1e-12 relative.
 """
 
+import itertools
 import tracemalloc
 from collections import namedtuple
 
@@ -22,8 +23,15 @@ from semifourier.errors import (
     ReconstructionFailure,
     WrongBasis,
 )
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, combine, from_groupoid, to_groupoid
-from semifourier.maps import convolve
+from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, combine, from_groupoid, induced_irreps, to_groupoid
+from semifourier.maps import (
+    Supermap,
+    convolve,
+    identity_supermap,
+    supermap_basis,
+    supermap_reconstruction,
+    unit_supermap,
+)
 from semifourier.grouprep import (
     MAX_GROUP_ORDER,
     _char_key,
@@ -46,6 +54,7 @@ from semifourier.positivity import (
     pd_check,
     random_cp_map,
     random_unitary,
+    rep_fourier,
     rep_residual,
     stinespring,
     transpose_map,
@@ -59,6 +68,7 @@ from semifourier.semigroup import (
     from_builtin,
     inverse_structure,
     maximal_subgroup,
+    steinberg_phi,
     validate_semigroup,
 )
 
@@ -951,3 +961,189 @@ def test_irrep_characters_match_einsum_oracle(group, seed):
     assert [r.dim for r in reps] == [m.shape[1] for m in want]
     for r, m in zip(reps, want):
         assert np.abs(r.characters - np.einsum("gii->g", m)).max() <= 1e-12
+
+
+# --- index loops of the tensor builders and the Steinberg spine ---------------------
+#
+# Each oracle is the loop the library once ran; the replacement must give the same bits.
+
+def oracle_identity_rep(m):
+    mats = np.zeros((m, m, m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            mats[i, j, i, j] = 1.0
+    return mats
+
+
+def oracle_direct_sum_rep(m, copies, pad):
+    d = m * copies + pad
+    mats = np.zeros((m, m, d, d), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            for c in range(copies):
+                mats[i, j, c * m + i, c * m + j] = 1.0
+    return mats
+
+
+def oracle_identity_supermap(m1, n2):
+    action = np.zeros((m1, m1, n2, n2, m1, m1, n2, n2), dtype=complex)
+    for i, j, k, l in itertools.product(range(m1), range(m1), range(n2), range(n2)):
+        action[i, j, k, l, i, j, k, l] = 1.0
+    return action
+
+
+def oracle_unit_supermap(m1, n2, m3, n4):
+    conv_unit = np.zeros((m3, m3, n4, n4), dtype=complex)
+    for p in range(m3):
+        conv_unit[p, p] = np.eye(n4)
+    action = np.zeros((m1, m1, n2, n2, m3, m3, n4, n4), dtype=complex)
+    for i in range(m1):
+        for k in range(n2):
+            action[i, i, k, k] = conv_unit
+    return action
+
+
+def oracle_supermap_reconstruction(t):
+    out = np.zeros_like(t.action)
+    for i, j, k, l in itertools.product(range(t.m1), range(t.m1), range(t.n2), range(t.n2)):
+        out[i, j, k, l] = t.apply(supermap_basis(i + 1, j + 1, k + 1, l + 1, t.m1, t.n2))
+    return out
+
+
+def oracle_rep_fourier(rho, f):
+    m, d, n = rho.m, rho.dim, f.dim
+    out = np.einsum("pqab,pqij->aibj", rho.matrices, f.values[1:].reshape(m, m, n, n))
+    return out.reshape(d * n, d * n)
+
+
+def oracle_steinberg_phi(s, x):
+    a, b = int(s.ran[x]), int(s.dom[x])
+    g = s.mul(s.mul(int(s.inv[s.transversals[a]]), x), s.transversals[b])
+    return int(s.class_of[x]), g, a, b
+
+
+def oracle_induced_matrices(s, seed):
+    out = []
+    for k, cls in enumerate(s.dclasses):
+        subgroup = maximal_subgroup(s, s.base_idempotents[k])
+        pos = {e: i for i, e in enumerate(s.class_idempotents(k))}
+        r = len(pos)
+        for rho in unitary_irreps(subgroup, seed=seed):
+            d = rho.dim
+            mats = np.zeros((s.table.order, r * d, r * d), dtype=complex)
+            for x in cls:
+                _, g, a, b = oracle_steinberg_phi(s, x)
+                a, b = pos[a], pos[b]
+                mats[x, a * d : (a + 1) * d, b * d : (b + 1) * d] = rho.matrices[subgroup.local_of_ambient(g)]
+            out.append(mats)
+    return out
+
+
+def oracle_dclasses(t):
+    """(dclasses, class_of, ranks, base_idempotents, transversals) by the pair loop."""
+    n, z, tab = t.order, t.zero, t.table
+    st = inverse_structure(t)
+    dom, ran = st.dom, st.ran
+    nonzero = [i for i in range(n) if i != z]
+    linked = np.zeros((n, n), dtype=bool)
+    for x in nonzero:
+        linked[dom[x], ran[x]] = True
+    class_of = np.full(n, -1, dtype=np.int32)
+    classes = []
+    for s in nonzero:
+        if class_of[s] >= 0:
+            continue
+        members = [u for u in nonzero if class_of[u] < 0 and linked[ran[s], ran[u]]]
+        class_of[members] = len(classes)
+        classes.append(tuple(members))
+    ranks, base, transversals = [], [], {}
+    for cls in classes:
+        idems = [e for e in cls if tab[e, e] == e]
+        ranks.append(len(idems))
+        base.append(min(idems))
+        for e in idems:
+            # e_k itself, else the lowest-index x with dom(x) = e_k and ran(x) = e
+            transversals[e] = e if e == base[-1] else next(x for x in cls if dom[x] == base[-1] and ran[x] == e)
+    return tuple(classes), class_of, tuple(ranks), tuple(base), transversals
+
+
+def assert_dclasses_match_loop(t):
+    st = inverse_structure(t)
+    classes, class_of, ranks, base, transversals = oracle_dclasses(t)
+    assert st.dclasses == classes and st.ranks == ranks and st.base_idempotents == base
+    assert all(type(u) is int for cls in st.dclasses for u in cls)
+    assert st.class_of.dtype == class_of.dtype and np.array_equal(st.class_of, class_of)
+    assert st.transversals == transversals
+
+
+def bitwise(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 14])
+def test_matrix_algebra_reps_equal_index_loops_bitwise(m):
+    assert bitwise(identity_rep(m).matrices, oracle_identity_rep(m))
+    for copies, pad in ((1, 0), (2, 0), (2, 1), (3, 2)):
+        assert bitwise(direct_sum_rep(m, copies, pad).matrices, oracle_direct_sum_rep(m, copies, pad))
+
+
+@pytest.mark.parametrize("m1,n2,m3,n4", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 2)])
+def test_supermaps_equal_index_loops_bitwise(m1, n2, m3, n4):
+    assert bitwise(identity_supermap(m1, n2).action, oracle_identity_supermap(m1, n2))
+    assert bitwise(unit_supermap(m1, n2, m3, n4).action, oracle_unit_supermap(m1, n2, m3, n4))
+    rng = np.random.default_rng([m1, n2, m3, n4, 37])
+    shape = (m1, m1, n2, n2, m3, m3, n4, n4)
+    t = Supermap(m1, n2, m3, n4, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for sm in (t, unit_supermap(m1, n2, m3, n4)):
+        assert bitwise(supermap_reconstruction(sm), oracle_supermap_reconstruction(sm))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 14])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_rep_fourier_equals_its_own_einsum_bitwise(m, n):
+    st = get_structure(f"builtin:matrix_units:{m}")
+    f = random_map(st, n, seed=m + n)
+    for rho in (identity_rep(m), conjugation_rep(random_unitary(m, seed=m)), direct_sum_rep(m, 2, 1)):
+        got = rep_fourier(rho, f)
+        assert (got.dim_left, got.dim_right) == (rho.dim, n)
+        assert bitwise(got.matrix, oracle_rep_fourier(rho, f))
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14"))
+def test_steinberg_coordinates_equal_the_per_element_products(ref):
+    st = get_structure(ref)
+    for x in st.nonzero:
+        assert steinberg_phi(st, x) == oracle_steinberg_phi(st, x)
+    assert st.group_coordinates[st.zero] == st.zero
+    assert st.transversal_at[st.zero] == st.zero
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4",))
+def test_induced_irreps_equal_the_per_element_loop_bitwise(ref, seed):
+    st = get_structure(ref)
+    reps = induced_irreps(st, seed=seed)
+    want = oracle_induced_matrices(st, seed)
+    assert len(reps) == len(want)
+    for rep, mats in zip(reps, want):
+        assert rep.dim == mats.shape[1] and bitwise(rep.matrices, mats)
+
+
+ONE_ELEMENT = SemigroupTable("z", ("z",), 0, np.zeros((1, 1), dtype=np.int32))
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14", "{z}"))
+def test_dclasses_equal_the_pair_loop(ref):
+    assert_dclasses_match_loop(ONE_ELEMENT if ref == "{z}" else from_builtin(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 4))
+def test_dclasses_equal_the_pair_loop_on_inverse_subsemigroups(data, n):
+    order = get_structure(f"builtin:symmetric_inverse:{n}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+    t = inverse_subsemigroup(n, gens)
+    # a permutation breaks I_n's order, in which smaller idempotents come first
+    perm = data.draw(hst.permutations(range(t.order)))
+    for u in (t, relabelled(t, perm)):
+        assert_dclasses_match_loop(u)

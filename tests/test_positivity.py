@@ -249,6 +249,17 @@ def test_cp_requires_matrix_units(i2):
         cp_check(random_map(i2, 2, seed=1))
 
 
+@pytest.mark.parametrize("ref", ["builtin:cyclic_with_zero:4", "builtin:matrix_units:3"])
+def test_map_generators_require_matrix_units_of_their_size(ref):
+    # C_4^0 is no matrix-unit semigroup, and matrix_units:3 has the wrong size for m = 2
+    st = get_structure(ref)
+    with pytest.raises(WrongSemigroup):
+        transpose_map(2, st)
+    with pytest.raises(WrongSemigroup):
+        kraus_map([np.eye(2)], st)
+    assert transpose_map(2).structure.same_semigroup(get_structure("builtin:matrix_units:2"))
+
+
 # --- pd vs cp on matrix units ------------------------------------------------------------
 
 def test_pd_equals_cp_on_matrix_units():
