@@ -23,7 +23,15 @@ from semifourier.errors import (
     ReconstructionFailure,
     WrongBasis,
 )
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, combine, from_groupoid, induced_irreps, to_groupoid
+from semifourier.harmonic import (
+    GROUPOID,
+    NATURAL,
+    MatrixMap,
+    combine,
+    from_groupoid,
+    induced_irreps,
+    to_groupoid,
+)
 from semifourier.maps import (
     Supermap,
     convolve,
@@ -1060,10 +1068,11 @@ def oracle_dclasses(t):
     for cls in classes:
         idems = [e for e in cls if tab[e, e] == e]
         ranks.append(len(idems))
-        base.append(min(idems))
+        ek = min(idems)
+        base.append(ek)
         for e in idems:
             # e_k itself, else the lowest-index x with dom(x) = e_k and ran(x) = e
-            transversals[e] = e if e == base[-1] else next(x for x in cls if dom[x] == base[-1] and ran[x] == e)
+            transversals[e] = ek if e == ek else next(x for x in cls if dom[x] == ek and ran[x] == e)
     return tuple(classes), class_of, tuple(ranks), tuple(base), transversals
 
 
