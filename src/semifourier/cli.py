@@ -22,13 +22,12 @@ from . import __version__
 from .cxmat import DEFAULT_TOL
 from .errors import PRECONDITION_ERRORS, STRUCTURE_ERRORS, Error, NotPositiveDefinite, ParseError
 from .harmonic import (
-    fourier,
+    as_groupoid,
     fourier_transform_all,
     from_groupoid,
     induced_irreps,
     invert_to_map,
     plancherel_check,
-    to_groupoid,
 )
 from .jsonio import (
     dilation_to_json,
@@ -46,7 +45,7 @@ from .positivity import (
     pd_check,
     stinespring,
 )
-from .semigroup import build_matrix_units, groupoid_basis_matrices, inverse_structure, maximal_subgroup
+from .semigroup import build_matrix_units, groupoid_basis_matrices, inverse_structure
 
 PARSE_EXIT = 2
 STRUCTURE_EXIT = 3
@@ -159,7 +158,7 @@ def cmd_analyze(args) -> dict:
                 "elements": [names[x] for x in cls],
                 "rank": st.ranks[k],
                 "base_idempotent": names[st.base_idempotents[k]],
-                "subgroup_order": maximal_subgroup(st, st.base_idempotents[k]).order,
+                "subgroup_order": len(cls) // st.ranks[k] ** 2,  # |D_k| = r_k^2 |G_k|
             }
             for k, cls in enumerate(st.dclasses)
         ],
@@ -200,8 +199,7 @@ def cmd_invert(args) -> dict:
     reps = induced_irreps(st, seed=args.seed)
     data = fourier_transform_all(f, reps)
     recovered = invert_to_map(data)
-    tilde = f if f.basis == "groupoid" else to_groupoid(f)
-    residual = _residual_summary(recovered.values, tilde.values)
+    residual = _residual_summary(recovered.values, as_groupoid(f).values)
     natural = from_groupoid(recovered)
     return {
         "semigroup": st.table.name,
@@ -227,10 +225,9 @@ def cmd_convolve(args) -> dict:
     g = _parse(load_map, args.map2)
     conv = convolve(f, g)
     reps = induced_irreps(f.structure, seed=args.seed)
-    worst = 0.0
-    for rep in reps:
-        ff, gg = fourier(f, rep).matrix, fourier(g, rep).matrix
-        worst = max(worst, _residual_summary(fourier(conv, rep).matrix, ff @ gg))
+    tc, tf, tg = (fourier_transform_all(x, reps).transforms for x in (conv, f, g))
+    worst = max((_residual_summary(c.matrix, a.matrix @ b.matrix) for c, a, b in zip(tc, tf, tg)),
+                default=0.0)
     return {
         "convolution": map_to_json(conv)["values"],
         "fourier_product_residual": worst,
@@ -269,10 +266,8 @@ def cmd_check(args) -> dict:
 
 def cmd_stinespring(args) -> dict:
     f = _parse(load_map, args.map)
-    if f.basis != "groupoid":
-        f = to_groupoid(f)
     try:
-        dil = stinespring(f, tol=args.tol)
+        dil = stinespring(as_groupoid(f), tol=args.tol)
     except NotPositiveDefinite as exc:
         return {"verdict": "NotPositiveDefinite", "detail": str(exc)}
     payload = dilation_to_json(dil)

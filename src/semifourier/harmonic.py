@@ -102,9 +102,9 @@ def from_groupoid(f: MatrixMap) -> MatrixMap:
     return MatrixMap(f.structure, f.dim, NATURAL, vals)
 
 
-def groupoid_values(f: MatrixMap) -> np.ndarray:
-    """The groupoid-side coefficients of f's tensor, whatever the input tag."""
-    return f.values if f.basis == GROUPOID else to_groupoid(f).values
+def as_groupoid(f: MatrixMap) -> MatrixMap:
+    """f itself when it is a groupoid-basis map, else ``to_groupoid(f)``."""
+    return f if f.basis == GROUPOID else to_groupoid(f)
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,13 @@ class InducedRep:
 
     @property
     def weight(self) -> int:
-        """r_k * |G_{e_k}| of the underlying class: the inversion constant."""
-        return self.structure.ranks[self.class_index] * self.group_rep.group.order
+        """r_k * |G_{e_k}| of the underlying class: ``InverseStructure.class_weights``."""
+        return int(self.structure.class_weights[self.class_index])
 
     @cached_property
     def characters(self) -> np.ndarray:
         """chi_sigma(floor(s)) = tr sigma(floor(s)) for every element s."""
         return np.einsum("sii->s", self.matrices)
-
-    def natural_matrices(self) -> np.ndarray:
-        """Action on natural elements: sigma(s) = sum_{t <= s} sigma(floor(t))."""
-        return combine(self.structure.leq_float.T, self.matrices)
 
 
 def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
@@ -185,13 +181,15 @@ def transform(mats: np.ndarray, vals: np.ndarray) -> BlockTensor:
 
 def fourier(f: MatrixMap, rep: InducedRep) -> BlockTensor:
     """Fourier transform at one irrep: sum_s sigma(floor(s)) (x) PhiT(floor(s))."""
-    if not f.structure.same_semigroup(rep.structure):
-        raise SemigroupMismatch("map and representation live on different semigroups")
-    return transform(rep.matrices, groupoid_values(f))
+    return fourier_transform_all(f, [rep]).transforms[0]
 
 
 def fourier_transform_all(f: MatrixMap, reps: list[InducedRep]) -> FourierData:
-    return FourierData(f, tuple(reps), tuple(fourier(f, r) for r in reps))
+    """The transform at every irrep of reps, from one change to the groupoid basis."""
+    if not all(f.structure.same_semigroup(r.structure) for r in reps):
+        raise SemigroupMismatch("map and representation live on different semigroups")
+    vals = as_groupoid(f).values
+    return FourierData(f, tuple(reps), tuple(transform(r.matrices, vals) for r in reps))
 
 
 def check_irreps_complete(s: InverseStructure, reps) -> None:
@@ -230,12 +228,11 @@ def _invert(data: FourierData, elements: np.ndarray) -> np.ndarray:
     data.checked_complete  # raises IncompleteIrrepSet unless the family is complete
     n = data.map.dim
     total = np.zeros((len(elements), n, n), dtype=complex)
-    weight = np.ones(len(elements))
-    classes = st.class_of[elements]
     sinv = st.inv[elements]
     for rep, t in zip(data.reps, data.transforms):
         total += rep.dim * np.einsum("skb,bikj->sij", rep.matrices[sinv], t.reshaped())
-        weight[classes == rep.class_index] = rep.weight
+    # class_of is -1 at z, where every sigma vanishes: the appended 1 divides it
+    weight = np.append(st.class_weights, 1)[st.class_of[elements]]
     return total / weight[:, None, None]
 
 
@@ -268,21 +265,16 @@ def plancherel_check(
     where (r_k, |G_k|) follow the class of s inside the sum.
     """
     check_same_semigroup(f, g)
-    st = f.structure
+    st, n = f.structure, f.dim
     check_irreps_complete(st, reps)
-    fvals = groupoid_values(f)
-    gvals = groupoid_values(g)
-    weights = {rep.class_index: rep.weight for rep in reps}
-    n = f.dim
-    lhs = np.zeros((n, n), dtype=complex)
-    for s_elem in st.nonzero:
-        k = int(st.class_of[s_elem])
-        lhs += weights[k] * (fvals[int(st.inv[s_elem])] @ gvals[s_elem])
+    f, g = as_groupoid(f), as_groupoid(g)
+    nz = np.asarray(st.nonzero, dtype=np.intp)
+    w = st.class_weights[st.class_of[nz]]
+    lhs = np.einsum("s,sij,sjk->ik", w, f.values[st.inv[nz]], g.values[nz])
     rhs = np.zeros((n, n), dtype=complex)
-    for rep in reps:
-        t1 = fourier(f, rep).matrix
-        t2 = fourier(g, rep).matrix
-        prod = (t1 @ t2).reshape(rep.dim, n, rep.dim, n)
+    tf, tg = (fourier_transform_all(x, reps).transforms for x in (f, g))
+    for rep, t1, t2 in zip(reps, tf, tg):
+        prod = (t1.matrix @ t2.matrix).reshape(rep.dim, n, rep.dim, n)
         rhs += rep.dim * np.einsum("kikj->ij", prod)
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))
 
@@ -292,25 +284,17 @@ def schur_residual(s: InverseStructure, reps: list[InducedRep]) -> float:
 
     Within a class, sum_{s in D_k} sigma(floor(s))_pq conj(sigma'(floor(s))_rt)
     equals (r_k |G_k| / d_sigma) delta_pr delta_qt when sigma = sigma' and 0
-    for inequivalent irreps induced on the same class.
+    for inequivalent irreps induced on the same class.  With the entries of
+    the class's irreps side by side as the columns of M, these sums are the
+    one Gram matrix M^T conj(M), and the pattern is a diagonal matrix.
     """
     worst = 0.0
-    for k in range(len(s.dclasses)):
-        cls = list(s.dclasses[k])
+    for k, cls in enumerate(s.dclasses):
         here = [r for r in reps if r.class_index == k]
-        for ri in here:
-            ai = ri.matrices[cls]
-            for rj in here:
-                aj = rj.matrices[cls]
-                got = np.einsum("spq,srt->pqrt", ai, aj.conj())
-                if ri is rj:
-                    d = ri.dim
-                    expect = (ri.weight / d) * np.einsum(
-                        "pr,qt->pqrt", np.eye(d), np.eye(d)
-                    )
-                else:
-                    expect = np.zeros_like(got)
-                worst = max(worst, float(np.abs(got - expect).max()))
+        if here:
+            m = np.hstack([r.matrices[list(cls)].reshape(len(cls), -1) for r in here])
+            expect = np.concatenate([np.full(r.dim ** 2, r.weight / r.dim) for r in here])
+            worst = max(worst, float(np.abs(m.T @ m.conj() - np.diag(expect)).max()))
     return worst
 
 

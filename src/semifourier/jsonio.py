@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import SizeLimit
 from .harmonic import MatrixMap
-from .maps import Supermap
 from .positivity import Dilation, MatrixAlgebraRep
 from .semigroup import MAX_ORDER, SemigroupTable, from_builtin, inverse_structure
 
@@ -127,31 +126,6 @@ def rep_from_json(obj: dict) -> MatrixAlgebraRep:
 def load_rep(path: str | Path) -> MatrixAlgebraRep:
     with open(path) as fh:
         return rep_from_json(json.load(fh))
-
-
-def supermap_to_json(t: Supermap) -> dict:
-    action = {}
-    for i in range(t.m1):
-        for j in range(t.m1):
-            for k in range(t.n2):
-                for l in range(t.n2):
-                    key = f"{i + 1},{j + 1},{k + 1},{l + 1}"
-                    action[key] = [
-                        [matrix_to_json(t.action[i, j, k, l, p, q]) for q in range(t.m3)]
-                        for p in range(t.m3)
-                    ]
-    return {"dims": [t.m1, t.n2, t.m3, t.n4], "action": action}
-
-
-def supermap_from_json(obj: dict) -> Supermap:
-    m1, n2, m3, n4 = (int(x) for x in obj["dims"])
-    action = np.zeros((m1, m1, n2, n2, m3, m3, n4, n4), dtype=complex)
-    for key, rows in obj["action"].items():
-        i, j, k, l = (int(x) - 1 for x in key.split(","))
-        for p in range(m3):
-            for q in range(m3):
-                action[i, j, k, l, p, q] = matrix_from_json(rows[p][q])
-    return Supermap(m1, n2, m3, n4, action)
 
 
 def dilation_to_json(d: Dilation) -> dict:

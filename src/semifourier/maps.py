@@ -25,27 +25,24 @@ from .cxmat import BlockTensor
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    WrongBasis,
     WrongSemigroup,
 )
-from .harmonic import GROUPOID, NATURAL, MatrixMap, check_same_semigroup, from_groupoid, to_groupoid
+from .harmonic import GROUPOID, NATURAL, MatrixMap, as_groupoid, check_same_semigroup, from_groupoid
 from .semigroup import InverseStructure
 
 
 def convolve(f1: MatrixMap, f2: MatrixMap) -> MatrixMap:
-    """Semigroup convolution of two natural-basis maps.
+    """Semigroup convolution of two maps, each in either basis.
 
-    Both maps move to the groupoid basis, where the product's coefficient at
+    Both maps are read in the groupoid basis, where the product's coefficient at
     floor(k) is sum over ran(s) = ran(k) of PhiT(floor(s)) PsiT(floor(s^-1 k)):
     one batched product over the structure's padded R-class tables.
-    The result comes back through Mobius inversion.
+    The result comes back through Mobius inversion, as a natural-basis map.
     """
     check_same_semigroup(f1, f2)
-    if f1.basis != NATURAL or f2.basis != NATURAL:
-        raise WrongBasis("convolution is defined on natural-basis maps")
     left, right = f1.structure.groupoid_factors
     vals = np.einsum(
-        "kmab,kmbc->kac", to_groupoid(f1).values[left], to_groupoid(f2).values[right]
+        "kmab,kmbc->kac", as_groupoid(f1).values[left], as_groupoid(f2).values[right]
     )
     return from_groupoid(MatrixMap(f1.structure, f1.dim, GROUPOID, vals))
 

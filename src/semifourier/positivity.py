@@ -32,17 +32,20 @@ from .harmonic import (
     NATURAL,
     InducedRep,
     MatrixMap,
+    as_groupoid,
     check_irreps_complete,
     combine,
-    fourier,
+    fourier_transform_all,
     induced_irreps,
-    to_groupoid,
     transform,
 )
 from .maps import choi, map_from_choi, matrix_units_size
 from .semigroup import InverseStructure, build_matrix_units, inverse_structure
 
 PD_MODES = ("natural", "groupoid", "blocks")
+# absolute bound on the unitary defect of the recovered U and on the residual
+# of rho(e_ij) = U e_ij U^dagger in is_unitary_conjugation_rep
+_CONJUGATION_TOL = 1e-6
 
 
 # --- evaluation of the stored linear map on either basis --------------------
@@ -226,14 +229,13 @@ def bochner_check(
         reps = induced_irreps(st, seed=seed)
     else:
         check_irreps_complete(st, reps)
-    tilde = f if f.basis == GROUPOID else to_groupoid(f)
+    tilde = as_groupoid(f)
     pd = pd_check(tilde, "groupoid", tol)
     per = []
     all_ok = True
     worst = np.inf
-    for rep in reps:
-        t = fourier(f, rep).matrix
-        ok, lo, _, _ = psd_verdict([t], tol)
+    for rep, t in zip(reps, fourier_transform_all(tilde, reps).transforms):
+        ok, lo, _, _ = psd_verdict([t.matrix], tol)
         per.append((rep.irrep_id, ok, lo))
         all_ok = all_ok and ok
         worst = min(worst, lo)
@@ -469,11 +471,11 @@ def is_unitary_conjugation_rep(
     phase = first[idx] / abs(first[idx])
     u = u / phase
     unitary_defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
-    if unitary_defect > 1e-6:
+    if unitary_defect > _CONJUGATION_TOL:
         return False, u, float("inf")
     # U e_ij U^dagger is the outer product of columns i and j of U
     residual = float(np.abs(rho.matrices - np.einsum("ai,bj->ijab", u, u.conj())).max())
-    return residual <= 1e-6, u, residual
+    return residual <= _CONJUGATION_TOL, u, residual
 
 
 @dataclass(frozen=True)

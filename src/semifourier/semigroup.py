@@ -13,7 +13,7 @@ idempotents: mu(s, t) = mu_E(ran s, ran t) for s <= t (B. Steinberg,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -265,11 +265,6 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def local_of_ambient(self, x: int) -> int:
-        if self.ambient is None:
-            raise ValueError("group has no ambient embedding")
-        return self.ambient.index(x)
-
 
 def cyclic_group_table(n: int) -> GroupTable:
     """Cyclic group Z_n directly as a GroupTable."""
@@ -321,7 +316,7 @@ class InverseStructure:
     class_of: np.ndarray                 # class index per element, -1 at zero
     ranks: tuple[int, ...]               # idempotents per class
     base_idempotents: tuple[int, ...]    # chosen e_k per class
-    transversals: dict[int, int] = field(repr=False)  # idempotent e -> p_e
+    transversal_at: np.ndarray           # p_e at each nonzero idempotent e, z elsewhere
 
     @property
     def zero(self) -> int:
@@ -352,12 +347,15 @@ class InverseStructure:
         return left, right
 
     @cached_property
-    def transversal_at(self) -> np.ndarray:
-        """``transversals`` as an array: p_e at each nonzero idempotent e, z elsewhere."""
-        p = np.full(self.table.order, self.zero, dtype=np.intp)
-        p[list(self.transversals)] = list(self.transversals.values())
-        p.setflags(write=False)
-        return p
+    def class_weights(self) -> np.ndarray:
+        """r_k |G_k| = |D_k| / r_k per class k, exactly, since |D_k| = r_k^2 |G_k|.
+
+        The weight of class k in Fourier inversion, Plancherel and Schur
+        orthogonality.
+        """
+        w = np.array([len(c) // r for c, r in zip(self.dclasses, self.ranks)], dtype=np.int64)
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def group_coordinates(self) -> np.ndarray:
@@ -525,11 +523,12 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
     base = idems[np.unique(class_of[idems], return_index=True)[1]]
     x = nz[dom[nz] == base[class_of[nz]]]
     lowest = x[np.unique(ran[x], return_index=True)[1]]
-    transversals = dict(zip(idempotents, np.where(np.isin(idems, base), idems, lowest).tolist()))
+    transversal_at = np.full(n, z, dtype=np.intp)
+    transversal_at[idems] = np.where(np.isin(idems, base), idems, lowest)
 
     dom = dom.astype(np.int32)
     ran = ran.astype(np.int32)
-    for arr in (inv, dom, ran, leq, mobius, class_of):
+    for arr in (inv, dom, ran, leq, mobius, class_of, transversal_at):
         arr.setflags(write=False)
     return InverseStructure(
         table=t,
@@ -543,7 +542,7 @@ def inverse_structure(t: SemigroupTable) -> InverseStructure:
         class_of=class_of,
         ranks=tuple(ranks.tolist()),
         base_idempotents=tuple(base.tolist()),
-        transversals=transversals,
+        transversal_at=transversal_at,
     )
 
 
@@ -611,4 +610,4 @@ def steinberg_phi_inv(s: InverseStructure, k: int, g: int, a: int, b: int) -> in
     for e in (a, b):
         if not s.is_idempotent(e) or s.class_of[e] != k:
             raise ClassMismatch(f"{s.table.element_names[e]} is not an idempotent of class {k}")
-    return s.mul(s.mul(s.transversals[a], g), int(s.inv[s.transversals[b]]))
+    return s.mul(s.mul(s.transversal_at[a], g), s.inv[s.transversal_at[b]])

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from semifourier import cli
 from semifourier.cli import main
 from semifourier.errors import InternalInconsistency
-from semifourier.harmonic import MatrixMap
-from semifourier.jsonio import load_map, save_map
+from semifourier.harmonic import MatrixMap, from_groupoid
+from semifourier.jsonio import load_map, matrix_from_json, save_map
 from semifourier.semigroup import MAX_ORDER
 
 from conftest import SAMPLE_DATA
@@ -162,6 +163,19 @@ def test_convolve_reports_fourier_product_residual(capsys):
         capsys,
     )["result"]
     assert result["fourier_product_residual"] <= 1e-9
+
+
+def test_convolve_accepts_a_groupoid_basis_map(tmp_path, capsys):
+    # the same map saved in the natural basis gives the same convolution
+    gram = SAMPLE_DATA / "gram_i2_seed0.json"
+    natural = tmp_path / "gram_natural.json"
+    save_map(from_groupoid(load_map(gram)), natural)
+    other = SAMPLE_DATA / "random_i2_seed0.json"
+    got = run_json(["convolve", gram, other], capsys)["result"]["convolution"]
+    want = run_json(["convolve", natural, other], capsys)["result"]["convolution"]
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.abs(matrix_from_json(got[name]) - matrix_from_json(want[name])).max() <= 1e-12
 
 
 def test_convolve_mismatched_semigroups_exits_4(capsys):

@@ -9,6 +9,7 @@ from semifourier.harmonic import (
     FourierData,
     MatrixMap,
     check_irreps_complete,
+    combine,
     conjugated_rep,
     fourier,
     fourier_invert,
@@ -201,7 +202,7 @@ def test_fourier_natural_and_groupoid_forms_agree(i2):
         f = random_matrix_map(i2, 2, 100 + seed)
         tilde = to_groupoid(f)
         for rep in reps:
-            nat_mats = rep.natural_matrices()
+            nat_mats = combine(i2.leq_float.T, rep.matrices)  # sigma(s) = sum_{t <= s} sigma(floor(t))
             natural_side = sum(kron(nat_mats[s], f.values[s]) for s in i2.nonzero)
             assert np.abs(fourier(f, rep).matrix - natural_side).max() <= 1e-12
             assert np.abs(fourier(tilde, rep).matrix - fourier(f, rep).matrix).max() <= 1e-12
@@ -403,6 +404,12 @@ def test_schur_cross_irrep_vanishes(i2):
         "spq,srt->pqrt", reps[0].matrices[cls], reps[1].matrices[cls].conj()
     )
     assert np.abs(cross).max() <= 1e-8
+
+
+def test_schur_residual_flags_a_repeated_irrep(i2):
+    # a family that lists one irrep twice is not orthogonal: the cross block is (r|G|/d) I
+    rep = get_irreps("builtin:symmetric_inverse:2")[-1]
+    assert abs(schur_residual(i2, [rep, rep]) - rep.weight / rep.dim) <= 1e-12
 
 
 # --- convolution theorem ------------------------------------------------------------------

@@ -16,10 +16,7 @@ from semifourier.jsonio import (
     resolve_semigroup,
     semigroup_from_json,
     semigroup_to_json,
-    supermap_from_json,
-    supermap_to_json,
 )
-from semifourier.maps import Supermap
 from semifourier.positivity import conjugation_rep, gram_pd_map, random_unitary
 from semifourier.semigroup import MAX_ORDER, build_cyclic_with_zero
 
@@ -86,14 +83,6 @@ def test_rep_roundtrip():
     back = rep_from_json(rep_to_json(rho))
     assert back.m == rho.m and back.dim == rho.dim
     assert np.abs(back.matrices - rho.matrices).max() == 0.0
-
-
-def test_supermap_roundtrip():
-    rng = np.random.default_rng(3)
-    act = rng.standard_normal((2,) * 8) + 1j * rng.standard_normal((2,) * 8)
-    t = Supermap(2, 2, 2, 2, act)
-    back = supermap_from_json(json.loads(json.dumps(supermap_to_json(t))))
-    assert np.abs(back.action - t.action).max() == 0.0
 
 
 def test_irreps_export_shape(capsys):

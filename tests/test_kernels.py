@@ -28,8 +28,11 @@ from semifourier.harmonic import (
     NATURAL,
     MatrixMap,
     combine,
+    fourier,
     from_groupoid,
     induced_irreps,
+    plancherel_check,
+    schur_residual,
     to_groupoid,
 )
 from semifourier.maps import (
@@ -1026,7 +1029,8 @@ def oracle_rep_fourier(rho, f):
 
 def oracle_steinberg_phi(s, x):
     a, b = int(s.ran[x]), int(s.dom[x])
-    g = s.mul(s.mul(int(s.inv[s.transversals[a]]), x), s.transversals[b])
+    p = s.transversal_at
+    g = s.mul(s.mul(int(s.inv[p[a]]), x), int(p[b]))
     return int(s.class_of[x]), g, a, b
 
 
@@ -1042,7 +1046,7 @@ def oracle_induced_matrices(s, seed):
             for x in cls:
                 _, g, a, b = oracle_steinberg_phi(s, x)
                 a, b = pos[a], pos[b]
-                mats[x, a * d : (a + 1) * d, b * d : (b + 1) * d] = rho.matrices[subgroup.local_of_ambient(g)]
+                mats[x, a * d : (a + 1) * d, b * d : (b + 1) * d] = rho.matrices[subgroup.ambient.index(g)]
             out.append(mats)
     return out
 
@@ -1082,7 +1086,7 @@ def assert_dclasses_match_loop(t):
     assert st.dclasses == classes and st.ranks == ranks and st.base_idempotents == base
     assert all(type(u) is int for cls in st.dclasses for u in cls)
     assert st.class_of.dtype == class_of.dtype and np.array_equal(st.class_of, class_of)
-    assert st.transversals == transversals
+    assert {e: int(st.transversal_at[e]) for e in st.idempotents} == transversals
 
 
 def bitwise(got, want):
@@ -1156,3 +1160,67 @@ def test_dclasses_equal_the_pair_loop_on_inverse_subsemigroups(data, n):
     perm = data.draw(hst.permutations(range(t.order)))
     for u in (t, relabelled(t, perm)):
         assert_dclasses_match_loop(u)
+
+
+# --- Plancherel, Schur and the class weight against their former loops -------
+
+def oracle_weights(st):
+    """r_k |G_k| per class k, from the rank and the maximal subgroup's order."""
+    return [st.ranks[k] * maximal_subgroup(st, e).order for k, e in enumerate(st.base_idempotents)]
+
+
+def oracle_plancherel(f, g, reps):
+    """Plancherel's sides as a loop over the |S| - 1 elements and two fourier calls per irrep."""
+    st, n = f.structure, f.dim
+    weights = oracle_weights(st)
+    fvals, gvals = (x.values if x.basis == GROUPOID else to_groupoid(x).values for x in (f, g))
+    lhs = np.zeros((n, n), dtype=complex)
+    for s in st.nonzero:
+        lhs += weights[int(st.class_of[s])] * (fvals[int(st.inv[s])] @ gvals[s])
+    rhs = np.zeros((n, n), dtype=complex)
+    for rep in reps:
+        prod = (fourier(f, rep).matrix @ fourier(g, rep).matrix).reshape(rep.dim, n, rep.dim, n)
+        rhs += rep.dim * np.einsum("kikj->ij", prod)
+    return lhs, rhs
+
+
+def oracle_schur(st, reps):
+    """The Schur residual as one einsum per pair of irreps of a class."""
+    weights = oracle_weights(st)
+    worst = 0.0
+    for k, cls in enumerate(st.dclasses):
+        here = [r for r in reps if r.class_index == k]
+        for ri in here:
+            for rj in here:
+                got = np.einsum("spq,srt->pqrt", ri.matrices[list(cls)], rj.matrices[list(cls)].conj())
+                d = ri.dim
+                expect = (weights[k] / d) * np.einsum("pr,qt->pqrt", np.eye(d), np.eye(d)) if ri is rj else 0.0
+                worst = max(worst, float(np.abs(got - expect).max()))
+    return worst
+
+
+def assert_spine_matches_loops(st, seed):
+    reps = induced_irreps(st, seed=0)
+    weights = oracle_weights(st)
+    assert [rep.weight for rep in reps] == [weights[rep.class_index] for rep in reps]
+    assert abs(schur_residual(st, reps) - oracle_schur(st, reps)) <= 1e-12
+    f, g = random_map(st, 2, seed), gram_pd_map(st, 2, seed=seed)
+    for x, y in ((f, g), (g, f), (f, f)):
+        lhs, rhs, residual = plancherel_check(x, y, reps)
+        want_lhs, want_rhs = oracle_plancherel(x, y, reps)
+        assert np.array_equal(rhs, want_rhs)
+        assert np.abs(lhs - want_lhs).max() <= 1e-12 * max(1.0, np.abs(want_lhs).max())
+        assert residual == float(np.linalg.norm(lhs - rhs))
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14"))
+def test_plancherel_schur_and_weight_equal_the_loops(ref):
+    assert_spine_matches_loops(get_structure(ref), seed=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 4), seed=hst.integers(0, 2**16))
+def test_plancherel_schur_and_weight_equal_the_loops_on_inverse_subsemigroups(data, n, seed):
+    order = get_structure(f"builtin:symmetric_inverse:{n}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+    assert_spine_matches_loops(inverse_structure(inverse_subsemigroup(n, gens)), seed)

@@ -369,7 +369,7 @@ def test_steinberg_homomorphism_block_matrices(i3):
         d = grp.order
         out = np.zeros((r * d, r * d))
         pa, pb = idem_pos[k][a], idem_pos[k][b]
-        out[pa * d : (pa + 1) * d, pb * d : (pb + 1) * d] = perms[grp.local_of_ambient(g)]
+        out[pa * d : (pa + 1) * d, pb * d : (pb + 1) * d] = perms[grp.ambient.index(g)]
         return k, out
 
     nz = list(i3.nonzero)
@@ -391,9 +391,9 @@ def test_steinberg_homomorphism_block_matrices(i3):
 
 def test_transversals_contract(i3):
     for k, ek in enumerate(i3.base_idempotents):
-        assert i3.transversals[ek] == ek
+        assert i3.transversal_at[ek] == ek
         for e in i3.class_idempotents(k):
-            p = i3.transversals[e]
+            p = i3.transversal_at[e]
             assert int(i3.dom[p]) == ek
             assert int(i3.ran[p]) == e
 
