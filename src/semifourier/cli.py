@@ -22,6 +22,7 @@ from . import __version__
 from .cxmat import DEFAULT_TOL
 from .errors import PRECONDITION_ERRORS, STRUCTURE_ERRORS, Error, NotPositiveDefinite, ParseError
 from .harmonic import (
+    MatrixMap,
     as_groupoid,
     fourier_transform_all,
     from_groupoid,
@@ -31,10 +32,10 @@ from .harmonic import (
 )
 from .jsonio import (
     dilation_to_json,
-    load_map,
     load_rep,
     map_to_json,
     matrix_to_json,
+    read_map,
     resolve_semigroup,
 )
 from .maps import choi, convolve
@@ -69,7 +70,7 @@ def _fail(code: int, kind: str, exc: BaseException | str) -> int:
 
 
 def _parse(load, *args):
-    """Run one loader of the parse phase (``load_map``, ``load_rep``,
+    """Run one loader of the parse phase (``read_map``, ``load_rep``,
     ``resolve_semigroup``), or the writer of ``--out``.  Its untyped
     failures (an unreadable file, bad JSON, a missing key, a malformed table
     or value, an unwritable path) become ParseError; the library's typed
@@ -80,6 +81,11 @@ def _parse(load, *args):
         raise
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _load_map(path):  # parsed under _parse, derived outside it: a failure there is internal
+    table, n, basis, vals = _parse(read_map, path)
+    return MatrixMap(inverse_structure(table), n, basis, vals)
 
 
 def _render_text(obj, indent: str = "") -> str:
@@ -174,10 +180,9 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_fourier(args) -> dict:
-    f = _parse(load_map, args.map)
+    f = _load_map(args.map)
     st = f.structure
-    reps = induced_irreps(st, seed=args.seed)
-    data = fourier_transform_all(f, reps)
+    data = fourier_transform_all(f, induced_irreps(st, seed=args.seed))
     result = {
         "semigroup": st.table.name,
         "target_dim": f.dim,
@@ -194,23 +199,18 @@ def cmd_fourier(args) -> dict:
 
 
 def cmd_invert(args) -> dict:
-    f = _parse(load_map, args.map)
-    st = f.structure
-    reps = induced_irreps(st, seed=args.seed)
-    data = fourier_transform_all(f, reps)
-    recovered = invert_to_map(data)
-    residual = _residual_summary(recovered.values, as_groupoid(f).values)
-    natural = from_groupoid(recovered)
+    f = _load_map(args.map)
+    recovered = invert_to_map(fourier_transform_all(f, induced_irreps(f.structure, seed=args.seed)))
     return {
-        "semigroup": st.table.name,
-        "roundtrip_residual": residual,
-        "natural_map": map_to_json(natural)["values"],
+        "semigroup": f.structure.table.name,
+        "roundtrip_residual": _residual_summary(recovered.values, as_groupoid(f).values),
+        "natural_map": map_to_json(from_groupoid(recovered))["values"],
     }
 
 
 def cmd_plancherel(args) -> dict:
-    f = _parse(load_map, args.map)
-    g = _parse(load_map, args.map2)
+    f = _load_map(args.map)
+    g = _load_map(args.map2)
     reps = induced_irreps(f.structure, seed=args.seed)
     lhs, rhs, residual = plancherel_check(f, g, reps)
     return {
@@ -221,8 +221,8 @@ def cmd_plancherel(args) -> dict:
 
 
 def cmd_convolve(args) -> dict:
-    f = _parse(load_map, args.map)
-    g = _parse(load_map, args.map2)
+    f = _load_map(args.map)
+    g = _load_map(args.map2)
     conv = convolve(f, g)
     reps = induced_irreps(f.structure, seed=args.seed)
     tc, tf, tg = (fourier_transform_all(x, reps).transforms for x in (conv, f, g))
@@ -235,7 +235,7 @@ def cmd_convolve(args) -> dict:
 
 
 def cmd_check(args) -> dict:
-    f = _parse(load_map, args.map)
+    f = _load_map(args.map)
     tol = args.tol
     if args.which == "pd":
         slices = {mode: pd_check(f, mode, tol) for mode in ("natural", "groupoid", "blocks")}
@@ -265,7 +265,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_stinespring(args) -> dict:
-    f = _parse(load_map, args.map)
+    f = _load_map(args.map)
     try:
         dil = stinespring(as_groupoid(f), tol=args.tol)
     except NotPositiveDefinite as exc:

@@ -6,12 +6,13 @@ the coefficients PhiT(floor(s)) of the same tensor re-expanded in the
 groupoid basis, related by up-set sums / Mobius inversion.  Induced irreps
 place a maximal-subgroup irrep into idempotent-indexed blocks; the Fourier
 transform, its inversion, Plancherel and Schur orthogonality all operate on
-that family.
+that family, laid out on the Steinberg grid x = p_a g p_b^-1 of each D-class
+as in the rook-monoid FFT of Malandro and Rockmore (Trans. AMS 362, 2010).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -109,19 +110,20 @@ def as_groupoid(f: MatrixMap) -> MatrixMap:
 
 @dataclass(frozen=True)
 class InducedRep:
-    """An irrep of C0[S] induced from a maximal-subgroup irrep.
+    """An irrep of C0[S] induced from a maximal-subgroup irrep rho.
 
-    ``matrices[s]`` is the action on the groupoid element of s: a single
-    d_rho x d_rho block at position (ran(s), dom(s)) among the idempotents
-    of the class, zero for elements outside the class.
+    On floor(x) for x = grid[a, b, g] it is rho(g) in block (a, b) of r_k x r_k
+    blocks, conjugated to U sigma U^dagger when a unitary ``basis`` U is set, and
+    0 off the class.  ``matrices`` is the dense view, built on first read only.
     """
 
     structure: InverseStructure
     class_index: int
     group_rep: GroupRep
     dim: int
-    matrices: np.ndarray  # (|S|, dim, dim)
     irrep_id: str
+    grid: np.ndarray  # InverseStructure.class_grids[class_index]
+    basis: np.ndarray | None = None
 
     @property
     def weight(self) -> int:
@@ -130,31 +132,33 @@ class InducedRep:
 
     @cached_property
     def characters(self) -> np.ndarray:
-        """chi_sigma(floor(s)) = tr sigma(floor(s)) for every element s."""
-        return np.einsum("sii->s", self.matrices)
+        """chi_sigma(floor(s)) = tr sigma(floor(s)): rho's character where a = b, else 0."""
+        chars = np.zeros(self.structure.table.order, dtype=complex)
+        chars[np.diagonal(self.grid)] = self.group_rep.characters[:, None]
+        return chars
+
+    def class_matrices(self) -> np.ndarray:
+        """sigma(floor(x)) = E_ab (x) rho(g) for the x of the class in grid order."""
+        (r, _, order), d, (a, b) = self.grid.shape, self.group_rep.dim, np.indices(self.grid.shape[:2])
+        mats = np.zeros((r, r, order, r, d, r, d), dtype=complex)
+        mats[a, b, :, a, :, b, :] = self.group_rep.matrices
+        mats = mats.reshape(-1, self.dim, self.dim)
+        return mats if self.basis is None else np.einsum("ab,sbc,dc->sad", self.basis, mats, self.basis.conj())
+
+    @cached_property
+    def matrices(self) -> np.ndarray:  # (|S|, dim, dim)
+        out = np.zeros((self.structure.table.order, self.dim, self.dim), dtype=complex)
+        out[self.grid.ravel()] = self.class_matrices()
+        return out
 
 
 def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
-    """The complete induced family, ordered by (class, subgroup irrep).
-
-    x holds rho(g(x)) in block (ran x, dom x), g(x) from ``group_coordinates``.
-    """
-    n = s.table.order
-    pos = np.zeros(n, dtype=np.intp)  # place of each idempotent within its class
-    reps: list[InducedRep] = []
-    for k, cls in enumerate(s.dclasses):
-        subgroup = maximal_subgroup(s, s.base_idempotents[k])
-        idems = s.class_idempotents(k)
-        pos[list(idems)] = np.arange(len(idems))
-        r, x = len(idems), np.asarray(cls, dtype=np.intp)
-        a, b = pos[s.ran[x]], pos[s.dom[x]]
-        local = np.searchsorted(subgroup.ambient, s.group_coordinates[x])
-        for i, rho in enumerate(unitary_irreps(subgroup, seed=seed)):
-            d = rho.dim
-            mats = np.zeros((n, r, d, r, d), dtype=complex)
-            mats[x, a, :, b, :] = rho.matrices[local]
-            reps.append(InducedRep(s, k, rho, r * d, mats.reshape(n, r * d, r * d), f"D{k}.{i}"))
-    return reps
+    """The complete induced family, ordered by (class, subgroup irrep)."""
+    return [
+        InducedRep(s, k, rho, s.ranks[k] * rho.dim, f"D{k}.{i}", s.class_grids[k])
+        for k, e in enumerate(s.base_idempotents)
+        for i, rho in enumerate(unitary_irreps(maximal_subgroup(s, e), seed=seed))
+    ]
 
 
 @dataclass(frozen=True)
@@ -172,24 +176,27 @@ class FourierData:
         return True
 
 
-def transform(mats: np.ndarray, vals: np.ndarray) -> BlockTensor:
-    """sum_s mats[s] (x) vals[s]: the Fourier transform at the rep with these matrices."""
-    d, n = mats.shape[1], vals.shape[1]
-    mat = np.einsum("sab,sij->aibj", mats, vals).reshape(d * n, d * n)
-    return BlockTensor(d, n, mat)
-
-
 def fourier(f: MatrixMap, rep: InducedRep) -> BlockTensor:
     """Fourier transform at one irrep: sum_s sigma(floor(s)) (x) PhiT(floor(s))."""
     return fourier_transform_all(f, [rep]).transforms[0]
 
 
 def fourier_transform_all(f: MatrixMap, reps: list[InducedRep]) -> FourierData:
-    """The transform at every irrep of reps, from one change to the groupoid basis."""
-    if not all(f.structure.same_semigroup(r.structure) for r in reps):
+    """The transform at every irrep of reps, from one change to the groupoid basis:
+    FT(sigma)[(a, i, p), (b, j, q)] = sum_g rho(g)_ij PhiT(floor(p_a g p_b^-1))_pq,
+    one (d^2, |G|) . (|G|, r^2 n^2) product, then (U (x) I) FT (U^dagger (x) I)."""
+    if not all(f.structure.same_semigroup(st) for st in {id(r.structure): r.structure for r in reps}.values()):
         raise SemigroupMismatch("map and representation live on different semigroups")
-    vals = as_groupoid(f).values
-    return FourierData(f, tuple(reps), tuple(transform(r.matrices, vals) for r in reps))
+    vals, n, out = as_groupoid(f).values, f.dim, []
+    for rep in reps:
+        (r, _, order), d = rep.grid.shape, rep.group_rep.dim
+        t = rep.group_rep.matrices.reshape(order, d * d).T @ vals[rep.grid.transpose(2, 0, 1)].reshape(order, -1)
+        t = t.reshape(d, d, r, r, n, n).transpose(2, 0, 4, 3, 1, 5).reshape(rep.dim * n, rep.dim * n)
+        if rep.basis is not None:
+            u = np.kron(rep.basis, np.eye(n))
+            t = u @ t @ u.conj().T
+        out.append(BlockTensor(rep.dim, n, t))
+    return FourierData(f, tuple(reps), tuple(out))
 
 
 def check_irreps_complete(s: InverseStructure, reps) -> None:
@@ -222,18 +229,24 @@ def check_irreps_complete(s: InverseStructure, reps) -> None:
             raise IncompleteIrrepSet("the irreps are not pairwise inequivalent: their characters overlap")
 
 
-def _invert(data: FourierData, elements: np.ndarray) -> np.ndarray:
-    """PhiT(floor(s)) for each s in elements, one einsum per irrep."""
-    st = data.map.structure
+def _invert(data: FourierData, k: int | None = None) -> np.ndarray:
+    """PhiT(floor(s)) for every element s, or those of class k, one product per irrep on its grid.
+
+    sigma(floor(x^-1)) is rho(g^-1) in block (b, a) for x = grid[a, b, g], so the
+    trace against FT(sigma) is sum_ij rho(g^-1)_ij FT(sigma)[(a, j, p), (b, i, q)].
+    """
+    st, n = data.map.structure, data.map.dim
     data.checked_complete  # raises IncompleteIrrepSet unless the family is complete
-    n = data.map.dim
-    total = np.zeros((len(elements), n, n), dtype=complex)
-    sinv = st.inv[elements]
-    for rep, t in zip(data.reps, data.transforms):
-        total += rep.dim * np.einsum("skb,bikj->sij", rep.matrices[sinv], t.reshaped())
-    # class_of is -1 at z, where every sigma vanishes: the appended 1 divides it
-    weight = np.append(st.class_weights, 1)[st.class_of[elements]]
-    return total / weight[:, None, None]
+    total = np.zeros((st.table.order, n, n), dtype=complex)
+    for rep, t in ((r, t) for r, t in zip(data.reps, data.transforms) if k in (None, r.class_index)):
+        (r, _, order), rho, m = rep.grid.shape, rep.group_rep, t.matrix
+        if rep.basis is not None:
+            u = np.kron(rep.basis, np.eye(n))
+            m = u.conj().T @ m @ u
+        m = m.reshape(r, rho.dim, n, r, rho.dim, n).transpose(4, 1, 0, 3, 2, 5).reshape(rho.dim ** 2, -1)
+        vals = rho.matrices[rho.group.inv].reshape(order, -1) @ m
+        total[rep.grid.transpose(2, 0, 1)] += (rep.dim / rep.weight) * vals.reshape(order, r, r, n, n)
+    return total
 
 
 def fourier_invert(data: FourierData, s_elem: int) -> np.ndarray:
@@ -245,14 +258,12 @@ def fourier_invert(data: FourierData, s_elem: int) -> np.ndarray:
     """
     if s_elem == data.map.structure.zero:
         raise ValueError("zero has no groupoid coefficient")
-    return _invert(data, np.array([s_elem]))[0]
+    return _invert(data, int(data.map.structure.class_of[s_elem]))[s_elem]
 
 
 def invert_to_map(data: FourierData) -> MatrixMap:
     """Full inverse transform, returned as a groupoid-basis map."""
-    st = data.map.structure
-    vals = _invert(data, np.arange(st.table.order))
-    return MatrixMap(st, data.map.dim, GROUPOID, vals)
+    return MatrixMap(data.map.structure, data.map.dim, GROUPOID, _invert(data))
 
 
 def plancherel_check(
@@ -292,7 +303,7 @@ def schur_residual(s: InverseStructure, reps: list[InducedRep]) -> float:
     for k, cls in enumerate(s.dclasses):
         here = [r for r in reps if r.class_index == k]
         if here:
-            m = np.hstack([r.matrices[list(cls)].reshape(len(cls), -1) for r in here])
+            m = np.hstack([r.class_matrices().reshape(len(cls), -1) for r in here])
             expect = np.concatenate([np.full(r.dim ** 2, r.weight / r.dim) for r in here])
             worst = max(worst, float(np.abs(m.T @ m.conj() - np.diag(expect)).max()))
     return worst
@@ -302,7 +313,4 @@ def conjugated_rep(rep: InducedRep, u: np.ndarray) -> InducedRep:
     """The equivalent irrep U sigma U^dagger (U unitary keeps the family unitary)."""
     if u.shape != (rep.dim, rep.dim):
         raise DimensionMismatch("conjugator has wrong shape")
-    mats = np.einsum("ab,sbc,dc->sad", u, rep.matrices, u.conj())
-    return InducedRep(
-        rep.structure, rep.class_index, rep.group_rep, rep.dim, mats, rep.irrep_id
-    )
+    return replace(rep, basis=u if rep.basis is None else u @ rep.basis)

@@ -79,20 +79,24 @@ def map_to_json(f: MatrixMap, semigroup_ref: str | None = None) -> dict:
     }
 
 
-def map_from_json(obj: dict, base_dir: Path | None = None) -> MatrixMap:
+def map_fields(obj: dict, base_dir: Path | None = None) -> tuple[SemigroupTable, int, str, np.ndarray]:
+    """The semigroup table, target dim, basis tag and values of a map object, parsed only."""
     table = resolve_semigroup(obj["semigroup"], base_dir)
-    structure = inverse_structure(table)
     n = int(obj["target_dim"])
     vals = np.zeros((table.order, n, n), dtype=complex)
     for name, rows in obj["values"].items():
         vals[table.index_of(name)] = matrix_from_json(rows)
-    return MatrixMap(structure, n, str(obj["basis"]), vals)
+    return table, n, str(obj["basis"]), vals
+
+
+def read_map(path: str | Path) -> tuple[SemigroupTable, int, str, np.ndarray]:
+    with open(path) as fh:
+        return map_fields(json.load(fh), base_dir=Path(path).parent)
 
 
 def load_map(path: str | Path) -> MatrixMap:
-    path = Path(path)
-    with open(path) as fh:
-        return map_from_json(json.load(fh), base_dir=path.parent)
+    table, n, basis, vals = read_map(path)
+    return MatrixMap(inverse_structure(table), n, basis, vals)
 
 
 def save_map(f: MatrixMap, path: str | Path, semigroup_ref: str | None = None) -> None:

@@ -37,7 +37,6 @@ from .harmonic import (
     combine,
     fourier_transform_all,
     induced_irreps,
-    transform,
 )
 from .maps import choi, map_from_choi, matrix_units_size
 from .semigroup import InverseStructure, build_matrix_units, inverse_structure
@@ -76,25 +75,24 @@ def _natural_spectra(f: MatrixMap) -> list[tuple[int, np.ndarray]]:
     form is the union of the block spectra, each repeated d_rho times.  Since
     N = zeta^T G zeta (x) I_n with G the groupoid matrix, block diagonal over
     the R-classes, the rho-block is sum_e W_rho[R_e]^dagger G_e W_rho[R_e]
-    with W_rho from ``unit_isotypic_lifts``; the sum over the classes of one
-    size is one product over (class, element) pairs.  Only the blocks are
-    Hermitized.
+    with W_rho from ``unit_isotypic_lifts``, one R-class at a time so that
+    no more than one G_e is gathered at once.  Only the blocks are Hermitized.
     """
     st, n = f.structure, f.dim
     lifts = st.unit_isotypic_lifts
     vals, ij = eval_groupoid(f), np.arange(n)
     sums = [0.0] * len(lifts)                                   # (m_rho, n n m_rho) each
-    for _, members, products in _r_classes(st, st.idempotents):
-        k, size = members.shape
-        # G_e[(a, i), (b, j)] laid out as (k, size * n * n, size), b last
-        g = vals[products[:, :, None, None, :], ij[:, None, None], ij[:, None]].reshape(k, -1, size)
-        for i, (_, w) in enumerate(lifts):
-            w = w[members]                                      # W_rho[R_e]: (k, size, m_rho)
-            right = (g @ w).reshape(k * size, -1)               # G_e W_rho[R_e], rows (e, a)
-            sums[i] = sums[i] + w.reshape(k * size, -1).conj().T @ right
+    for _, stack, products in _r_classes(st, st.idempotents):
+        for members, prod in zip(stack, products):
+            # G_e[(a, i), (b, j)] laid out as (size * n * n, size), b last
+            g = vals[prod[:, None, None, :], ij[:, None, None], ij[:, None]].reshape(-1, len(members))
+            for i, (_, w) in enumerate(lifts):
+                w = w[members]                                  # W_rho[R_e]: (size, m_rho)
+                right = (g @ w).reshape(len(members), -1)       # G_e W_rho[R_e], rows a
+                sums[i] += w.conj().T @ right
     out = []
-    for (d, w), b in zip(lifts, sums):
-        m = w.shape[1]
+    for d, w in lifts:  # each sum is dropped once its block is formed
+        m, b = w.shape[1], sums.pop(0)
         b = b.reshape(m, n, n, m).transpose(0, 1, 3, 2).reshape(m * n, m * n)
         out.append((d, np.linalg.eigvalsh(hermitized(b))))
     return out
@@ -440,7 +438,9 @@ def rep_fourier(rho: MatrixAlgebraRep, f: MatrixMap) -> BlockTensor:
     if m != rho.m:
         raise DimensionMismatch("representation and map have different source sizes")
     # e_ij is element 1 + (i-1) m + (j-1), so values[1:] runs over the units in rho's order
-    return transform(rho.matrices.reshape(m * m, rho.dim, rho.dim), f.values[1:])
+    d, n = rho.dim, f.dim
+    mat = np.einsum("pqab,pqij->aibj", rho.matrices, f.values[1:].reshape(m, m, n, n))
+    return BlockTensor(d, n, mat.reshape(d * n, d * n))
 
 
 def is_unitary_conjugation_rep(

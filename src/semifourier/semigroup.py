@@ -69,7 +69,7 @@ class SemigroupTable:
         return self.element_names.index(name)
 
     def same_semigroup(self, other: "SemigroupTable") -> bool:
-        return (
+        return self is other or (
             self.zero == other.zero
             and self.element_names == other.element_names
             and np.array_equal(self.table, other.table)
@@ -367,6 +367,19 @@ class InverseStructure:
         return g
 
     @cached_property
+    def class_grids(self) -> tuple[np.ndarray, ...]:
+        """Per class k, grid[a, b, g] = p_a g p_b^-1, so x sits at (ran x, dom x, g(x)): a, b
+        run over ``class_idempotents(k)``, g over ``maximal_subgroup(e_k)`` (Steinberg 2006)."""
+        grids = []
+        for k, cls in enumerate(self.dclasses):
+            x, es = np.asarray(cls), np.asarray(self.class_idempotents(k))
+            group, g = np.unique(self.group_coordinates[x], return_inverse=True)  # G_k, ascending
+            grids.append(np.empty((len(es), len(es), len(group)), dtype=np.intp))
+            grids[-1][np.searchsorted(es, self.ran[x]), np.searchsorted(es, self.dom[x]), g] = x
+            grids[-1].setflags(write=False)
+        return tuple(grids)
+
+    @cached_property
     def leq_float(self) -> np.ndarray:
         """``leq`` cast to float once, for the basis changes."""
         a = self.leq.astype(float)
@@ -438,7 +451,8 @@ class InverseStructure:
         return self.table.mul(e, e) == e and e != self.zero
 
     def class_idempotents(self, k: int) -> tuple[int, ...]:
-        return tuple(e for e in self.dclasses[k] if self.is_idempotent(e))
+        cls = np.asarray(self.dclasses[k], dtype=np.intp)
+        return tuple(cls[self.table.table[cls, cls] == cls].tolist())
 
     def same_semigroup(self, other: "InverseStructure") -> bool:
         return self.table.same_semigroup(other.table)
@@ -574,7 +588,7 @@ def maximal_subgroup(s: InverseStructure, e: int) -> GroupTable:
     """The maximal subgroup at idempotent e: all x with dom(x) = ran(x) = e."""
     if not s.is_idempotent(e):
         raise NotIdempotent(f"element {s.table.element_names[e]} is not a nonzero idempotent")
-    members = [x for x in s.nonzero if s.dom[x] == e and s.ran[x] == e]
+    members = np.flatnonzero((s.dom == e) & (s.ran == e)).tolist()
     local = np.zeros(s.table.order, dtype=np.int32)
     local[members] = np.arange(len(members))
     tab = local[s.table.table[np.ix_(members, members)]]

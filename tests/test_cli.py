@@ -143,6 +143,34 @@ def test_failure_after_parsing_exits_5(monkeypatch, capsys, exc):
     assert error["frames"][-1].startswith("test_cli.py:") and error["frames"][-1].endswith(" broken")
 
 
+@pytest.mark.parametrize("verb", [["fourier"], ["invert"], ["check", "--which", "pd"], ["stinespring"]])
+def test_failure_while_deriving_a_map_structure_exits_5(monkeypatch, capsys, verb):
+    # the map file parses; deriving its inverse structure comes after the parse phase
+    def broken(*args, **kwargs):
+        raise IndexError("derive")
+
+    monkeypatch.setattr(cli, "inverse_structure", broken)
+    code, out, err = run_cli([verb[0], SAMPLE_DATA / "gram_i2_seed0.json", *verb[1:]], capsys)
+    assert code == 5 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "IndexError" and error["frames"][-1].endswith(" broken")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: "{ not json",                                            # not JSON
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "target_dim"}),  # no target dim
+    lambda obj: json.dumps(dict(obj, values={"nowhere": [[[0, 0]]]})),   # unknown element
+    lambda obj: json.dumps(dict(obj, values={k: [[[0, 0]]] * 3 for k in obj["values"]})),  # 3 x 1 values
+    lambda obj: json.dumps(dict(obj, semigroup="absent.json")),          # missing semigroup file
+])
+def test_malformed_map_file_exits_2(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(edit(json.loads((SAMPLE_DATA / "gram_i2_seed0.json").read_text())))
+    code, out, err = run_cli(["check", path, "--which", "pd"], capsys)
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
+
+
 def test_invert_roundtrip_residual(capsys):
     result = run_json(["invert", SAMPLE_DATA / "random_i2_seed0.json"], capsys)["result"]
     assert result["roundtrip_residual"] <= 1e-9

@@ -15,6 +15,7 @@ from semifourier.harmonic import (
     fourier_invert,
     fourier_transform_all,
     from_groupoid,
+    induced_irreps,
     invert_to_map,
     plancherel_check,
     schur_residual,
@@ -22,7 +23,7 @@ from semifourier.harmonic import (
 )
 from semifourier.maps import choi, choi_invert, convolve
 from semifourier.positivity import random_unitary
-from semifourier.semigroup import matrix_unit_index
+from semifourier.semigroup import SemigroupTable, inverse_structure, matrix_unit_index
 
 from conftest import BUILTINS, get_irreps, get_structure
 
@@ -213,6 +214,20 @@ def test_fourier_semigroup_mismatch(i2):
     f = random_matrix_map(i2, 2, 6)
     with pytest.raises(SemigroupMismatch):
         fourier(f, reps[0])
+
+
+def test_fourier_compares_each_distinct_structure_once(i3, monkeypatch):
+    reps = get_irreps("builtin:symmetric_inverse:3")
+    copy = inverse_structure(SemigroupTable(i3.table.name, i3.table.element_names, i3.zero, i3.table.table))
+    f, calls = random_matrix_map(i3, 2, 6), []
+    compare = SemigroupTable.same_semigroup
+    monkeypatch.setattr(SemigroupTable, "same_semigroup", lambda a, b: calls.append(b) or compare(a, b))
+    data = fourier_transform_all(f, reps)
+    assert len(calls) == 1
+    # a family drawn partly from an equal copy of the structure is accepted, each structure compared once
+    mixed = fourier_transform_all(f, reps[:2] + induced_irreps(copy)[2:])
+    assert len(calls) == 3
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(data.transforms, mixed.transforms))
 
 
 # --- inversion ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ from semifourier.cli import main
 from semifourier.errors import SizeLimit
 from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, induced_irreps
 from semifourier.jsonio import (
-    map_from_json,
+    map_fields,
     map_to_json,
     matrix_from_json,
     matrix_to_json,
@@ -64,9 +64,9 @@ def test_map_roundtrip_with_builtin_ref(tmp_path):
     f = gram_pd_map(st, 2, seed=4)
     obj = map_to_json(f, "builtin:symmetric_inverse:2")
     assert obj["basis"] == GROUPOID
-    back = map_from_json(json.loads(json.dumps(obj)))
-    assert back.basis == f.basis and back.dim == f.dim
-    assert np.abs(back.values - f.values).max() == 0.0
+    table, n, basis, vals = map_fields(json.loads(json.dumps(obj)))
+    assert table.same_semigroup(st.table) and basis == f.basis and n == f.dim
+    assert np.abs(vals - f.values).max() == 0.0
 
 
 def test_map_roundtrip_inline_semigroup():
@@ -74,8 +74,8 @@ def test_map_roundtrip_inline_semigroup():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
     f = MatrixMap(st, 2, NATURAL, vals)
-    back = map_from_json(map_to_json(f))
-    assert np.abs(back.values - f.values).max() == 0.0
+    table, _, _, vals = map_fields(map_to_json(f))
+    assert table.same_semigroup(st.table) and np.abs(vals - f.values).max() == 0.0
 
 
 def test_rep_roundtrip():

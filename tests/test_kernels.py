@@ -27,10 +27,15 @@ from semifourier.harmonic import (
     GROUPOID,
     NATURAL,
     MatrixMap,
+    check_irreps_complete,
     combine,
+    conjugated_rep,
     fourier,
+    fourier_invert,
+    fourier_transform_all,
     from_groupoid,
     induced_irreps,
+    invert_to_map,
     plancherel_check,
     schur_residual,
     to_groupoid,
@@ -1224,3 +1229,158 @@ def test_plancherel_schur_and_weight_equal_the_loops_on_inverse_subsemigroups(da
     order = get_structure(f"builtin:symmetric_inverse:{n}").table.order
     gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
     assert_spine_matches_loops(inverse_structure(inverse_subsemigroup(n, gens)), seed)
+
+
+# --- the Steinberg grid against the dense induced matrices it replaced --------
+
+def oracle_class_idempotents(st, k):
+    return tuple(e for e in st.dclasses[k] if st.is_idempotent(e))
+
+
+def oracle_subgroup_members(st, e):
+    return [x for x in st.nonzero if st.dom[x] == e and st.ran[x] == e]
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14", "{z}"))
+def test_class_idempotents_and_subgroup_members_equal_the_loops(ref):
+    st = inverse_structure(ONE_ELEMENT) if ref == "{z}" else get_structure(ref)
+    for k in range(len(st.dclasses)):
+        got = st.class_idempotents(k)
+        assert got == oracle_class_idempotents(st, k) and all(type(e) is int for e in got)
+    for e in st.idempotents:
+        group, members = maximal_subgroup(st, e), oracle_subgroup_members(st, e)
+        assert group.ambient == tuple(members) and all(type(x) is int for x in group.ambient)
+        assert group.element_names == tuple(st.table.element_names[x] for x in members)
+    assert len(st.class_grids) == len(st.dclasses)
+
+
+def assert_grids_match_coordinates(st):
+    for k, grid in enumerate(st.class_grids):
+        pos = {e: i for i, e in enumerate(oracle_class_idempotents(st, k))}
+        ambient = maximal_subgroup(st, st.base_idempotents[k]).ambient
+        assert grid.shape == (len(pos), len(pos), len(ambient))
+        assert sorted(grid.ravel().tolist()) == list(st.dclasses[k])
+        for x in st.dclasses[k]:
+            _, g, a, b = oracle_steinberg_phi(st, x)
+            assert grid[pos[a], pos[b], ambient.index(g)] == x
+
+
+def oracle_family(st, seed, conjugate):
+    """The induced family and its dense matrices as once built: by the per-element
+    loop, then conjugated by one einsum over all of S."""
+    reps, mats = induced_irreps(st, seed=seed), oracle_induced_matrices(st, seed)
+    if conjugate:
+        us = [random_unitary(rep.dim, seed=90 + i) for i, rep in enumerate(reps)]
+        reps = [conjugated_rep(rep, u) for rep, u in zip(reps, us)]
+        mats = [np.einsum("ab,sbc,dc->sad", u, m, u.conj()) for u, m in zip(us, mats)]
+    return reps, mats
+
+
+def oracle_transform(mats, vals):
+    d, n = mats.shape[1], vals.shape[1]
+    return np.einsum("sab,sij->aibj", mats, vals).reshape(d * n, d * n)
+
+
+def oracle_invert(st, mats, transforms, n):
+    """PhiT(floor(s)) for every s: one einsum over all of S per irrep."""
+    total = np.zeros((st.table.order, n, n), dtype=complex)
+    for m, t in zip(mats, transforms):
+        d = m.shape[1]
+        total += d * np.einsum("skb,bikj->sij", m[st.inv], t.reshape(d, n, d, n))
+    weights = np.array(oracle_weights(st) + [1])
+    return total / weights[st.class_of][:, None, None]
+
+
+def oracle_schur_gram(st, reps, mats):
+    """The Schur residual as one Gram of the dense class rows per class."""
+    worst = 0.0
+    for k, cls in enumerate(st.dclasses):
+        here = [i for i, rep in enumerate(reps) if rep.class_index == k]
+        if here:
+            m = np.hstack([mats[i][list(cls)].reshape(len(cls), -1) for i in here])
+            expect = np.concatenate([np.full(reps[i].dim ** 2, reps[i].weight / reps[i].dim) for i in here])
+            worst = max(worst, float(np.abs(m.T @ m.conj() - np.diag(expect)).max()))
+    return worst
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def assert_grid_matches_dense(st, seed):
+    assert_grids_match_coordinates(st)
+    for conjugate in (False, True):
+        reps, mats = oracle_family(st, seed % 3, conjugate)
+        for rep, m in zip(reps, mats):
+            assert bitwise(rep.matrices, m)
+            assert_close(rep.characters, np.einsum("sii->s", m))
+        assert abs(schur_residual(st, reps) - oracle_schur_gram(st, reps, mats)) <= 1e-12
+        for n in (1, 2, 4):
+            f = random_map(st, n, seed)
+            data = fourier_transform_all(f, reps)
+            vals = to_groupoid(f).values
+            for t, m in zip(data.transforms, mats):
+                assert (t.dim_left, t.dim_right) == (m.shape[1], n)
+                assert_close(t.matrix, oracle_transform(m, vals))
+            transforms = [t.matrix for t in data.transforms]
+            full = invert_to_map(data).values
+            assert_close(full, oracle_invert(st, mats, transforms, n))
+            # one element's class alone gives that element the same sum, bitwise
+            assert all(np.array_equal(fourier_invert(data, s), full[s]) for s in st.nonzero)
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14"))
+def test_grid_transform_inversion_and_schur_equal_the_dense_kernels(ref):
+    assert_grid_matches_dense(get_structure(ref), seed=11)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 4), seed=hst.integers(0, 2**16))
+def test_grid_kernels_equal_the_dense_kernels_on_inverse_subsemigroups(data, n, seed):
+    order = get_structure(f"builtin:symmetric_inverse:{n}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+    assert_grid_matches_dense(inverse_structure(inverse_subsemigroup(n, gens)), seed)
+
+
+def test_conjugations_compose():
+    for i, rep in enumerate(get_irreps("builtin:symmetric_inverse:3")):
+        u, v = random_unitary(rep.dim, seed=i), random_unitary(rep.dim, seed=50 + i)
+        once = conjugated_rep(rep, u)
+        want = np.einsum("ab,sbc,dc->sad", v, once.matrices, v.conj())
+        assert_close(conjugated_rep(once, v).matrices, want)
+
+
+def test_the_spine_never_builds_the_dense_induced_matrices():
+    st = inverse_structure(from_builtin("builtin:symmetric_inverse:4"))
+    reps = induced_irreps(st)
+    conj = [conjugated_rep(rep, random_unitary(rep.dim, seed=i)) for i, rep in enumerate(reps)]
+    f, g = random_map(st, 2, seed=1), gram_pd_map(st, 2, seed=2)
+    for family in (reps, conj):
+        data = fourier_transform_all(f, family)
+        invert_to_map(data)
+        fourier_invert(data, st.nonzero[0])
+        plancherel_check(f, g, family)
+        check_irreps_complete(st, family)
+        schur_residual(st, family)
+        bochner_check(g, family)
+        assert all("matrices" not in vars(rep) for rep in family)
+
+
+def traced_peak(run) -> int:
+    run()  # cached set-up (groupoid factors, isotypic lifts) is not part of the op
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convolve_and_natural_pd_transients_stay_bounded_at_i4():
+    # at I_4, n = 4 the whole R-class gather of convolve took 2.6 MB and the
+    # natural PD stacks of R-classes 3.1 MB; chunked, they take 0.51 and 1.28 MB
+    st = get_structure("builtin:symmetric_inverse:4")
+    f, g = random_map(st, 4, seed=3), gram_pd_map(st, 4, seed=1)
+    assert traced_peak(lambda: convolve(f, g)) <= 0.55e6
+    assert traced_peak(lambda: pd_check(f, "natural")) <= 1.35e6

@@ -410,3 +410,14 @@ def test_matrix_unit_index_layout():
     for i in range(1, 4):
         for j in range(1, 4):
             assert t.element_names[matrix_unit_index(3, i, j)] == f"e_{i}_{j}"
+
+
+def test_same_semigroup_is_true_for_itself_and_an_equal_copy_only():
+    t = from_builtin("builtin:symmetric_inverse:2")
+    copy = SemigroupTable(t.name, t.element_names, t.zero, t.table.copy())
+    assert t.same_semigroup(t) and copy is not t and t.same_semigroup(copy)
+    table = t.table.copy()
+    table[1, 1] = t.zero
+    assert not t.same_semigroup(SemigroupTable(t.name, t.element_names, t.zero, table))
+    assert not t.same_semigroup(from_builtin("builtin:cyclic_with_zero:6"))
+    assert inverse_structure(t).same_semigroup(inverse_structure(copy))
