@@ -3,9 +3,9 @@
 Verb-style subcommands load semigroups and maps from files (or builtin
 references), run the analyses and emit deterministic JSON or text reports.
 Exit codes: 0 analysis completed (verdicts live in the payload), 2 parse
-error (only from reading the inputs, a bad --tol or an unwritable --out),
-3 invalid algebraic structure, 4 precondition failure, 5 internal failure
-(a bug signal).
+error (only from reading the inputs, an option out of range or an
+unwritable --out), 3 invalid algebraic structure, 4 precondition failure,
+5 internal failure (a bug signal).
 """
 
 from __future__ import annotations
@@ -270,9 +270,7 @@ def cmd_stinespring(args) -> dict:
         dil = stinespring(as_groupoid(f), tol=args.tol)
     except NotPositiveDefinite as exc:
         return {"verdict": "NotPositiveDefinite", "detail": str(exc)}
-    payload = dilation_to_json(dil)
-    payload["verdict"] = "ok"
-    return payload
+    return {**dilation_to_json(dil), "verdict": "ok"}
 
 
 def cmd_cpprobe(args) -> dict:
@@ -346,8 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        return _fail(PARSE_EXIT, "BadTolerance", "tol must be positive")
+    for option, ok, rule in (("--tol", np.isfinite(args.tol) and args.tol > 0, "finite and positive"),
+                             ("--seed", args.seed >= 0, ">= 0"),
+                             ("--trials", getattr(args, "trials", 1) >= 1, ">= 1"),
+                             ("--target-dim", getattr(args, "target_dim", 1) >= 1, ">= 1")):
+        if not ok:
+            return _fail(PARSE_EXIT, "BadOption", f"{option} must be {rule}")
     args._inputs = args.inputs(args)
     try:
         _emit(args, args.command, args.func(args))

@@ -133,11 +133,13 @@ def load_rep(path: str | Path) -> MatrixAlgebraRep:
 
 
 def dilation_to_json(d: Dilation) -> dict:
-    t = d.structure.table
+    st, names = d.structure, d.structure.table.element_names
     return {
         "dilation_dim": d.dim,
+        "summands": {names[e]: {"dim": int(d.dims[e]), "offset": int(d.offsets[e])}
+                     for e in st.idempotents},
         "v": matrix_to_json(d.v),
-        "pi": {t.element_names[s]: matrix_to_json(d.pi[s]) for s in d.structure.nonzero},
+        "pi": {names[s]: matrix_to_json(d.block(s)) for s in st.nonzero},
         "residuals": {
             "reconstruction": d.reconstruction_residual,
             "identity": d.identity_residual,

@@ -6,13 +6,13 @@ s^-1 s' is PSD; the groupoid and per-class characterizations assemble the
 same verdict from groupoid products.  Bochner ties the verdict on the
 groupoid-side map to PSD-ness of every Fourier transform over the induced
 unitary family, and the Stinespring dilation realizes any such map as
-V^dagger pi(.) V via a GNS quotient.
+V^dagger pi(.) V via a GNS quotient, with pi induced from the maximal
+subgroups: one block pi_k(g) per group element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -258,8 +258,8 @@ class Dilation:
     idempotents e, in ascending order of e; H_e has dimension dims[e] and
     starts at offsets[e].  pi(s) sends H_dom(s) to H_ran(s) and kills every
     other summand, so only that block is stored, in a stack zero-padded to
-    the widest summand: ``block(s)``.  ``pi`` assembles the dense
-    (|S|, dim, dim) array, zero slot unused, on first read.
+    the widest summand: ``block(s)``.  Each element holds the block of its
+    group coordinate, since pi(p_a g p_b^-1) = pi_k(g).
     """
 
     structure: InverseStructure = field(repr=False)
@@ -278,16 +278,6 @@ class Dilation:
         st = self.structure
         return self.blocks[s, : self.dims[st.ran[s]], : self.dims[st.dom[s]]]
 
-    @cached_property
-    def pi(self) -> np.ndarray:
-        st, dims, off = self.structure, self.dims, self.offsets
-        pi = np.zeros((st.table.order, self.dim, self.dim), dtype=complex)
-        for s in st.nonzero:
-            a, b = st.ran[s], st.dom[s]
-            pi[s, off[a] : off[a] + dims[a], off[b] : off[b] + dims[b]] = self.block(s)
-        pi.setflags(write=False)
-        return pi
-
 
 def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     """Dilate a positive definite groupoid-basis map via the GNS quotient.
@@ -296,13 +286,13 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     ran-idempotents, since floor(s^-1) floor(t) = 0 unless ran(s) = ran(t).
     The block G_e is over the R-class {s : ran(s) = e}; eigenpairs above
     tol * ||G||_2 span the summand H_e of the quotient.  Only the block of
-    each D-class's base idempotent b is eigendecomposed: s -> p_e s maps the
-    R-class of b onto that of e and keeps s^-1 t, so the eigenvectors of G_b,
-    moved to p_e s, are those of G_e, with the same eigenvalues and so the
-    same kept dimension.  pi(s) compresses left multiplication by s, which
-    sends H_dom(s) to H_ran(s), to one d_ran(s) x d_dom(s) block; V is the
-    class of (identity (x) x).  All invariants are verified a posteriori on
-    the blocks and their residuals recorded.
+    each D-class's base idempotent e_k is eigendecomposed: s -> p_e s maps
+    its R-class onto that of e and keeps s^-1 t, so H_e is a copy of H_{e_k}.
+    pi is induced from the maximal subgroups (Steinberg 2006):
+    pi(p_a g p_b^-1) = pi_k(g) = sum over u in R_{e_k} of coords(u) (x) lift(g^-1 u).
+    V is the class of (identity (x) x); its H_e part is the coordinate map of
+    floor(e) = p_e floor(p_e^-1), read at p_e^-1.  All invariants are verified
+    a posteriori on the blocks and their residuals recorded.
     """
     if f.basis != GROUPOID:
         raise WrongBasis("stinespring expects a groupoid-basis map")
@@ -316,61 +306,47 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
-    dims = np.zeros(order, dtype=int)                    # d_e at each idempotent e
-    kept = []
-    for (es, _), (w, u) in zip(grams, stacked):
-        for e, we, ue in zip(es, w, u):
-            keep = we > bound(tol, norm2)
-            dims[e] = int(keep.sum())
-            kept.append((e, we[keep], ue[:, keep]))
-    width = int(dims.max())
+    keeps = [w > bound(tol, norm2) for w, _ in stacked]
+    width = max((int(k.sum(axis=1).max()) for k in keeps), default=0)
 
-    # per element u and coordinate i, the coordinates of [floor(u) (x) x_i] in
-    # H_ran(u), and the representatives of the basis of H_ran(u) at u, both
-    # padded to the widest summand and zero at z to absorb padding
+    # per element u of a base R-class and coordinate i, the coordinates of
+    # [floor(u) (x) x_i] in H_ran(u), and the representatives of the basis of
+    # H_ran(u) at u, both padded to the widest summand and zero elsewhere
+    dims = np.zeros(order, dtype=int)                    # d_e at each idempotent e
     coords_at = np.zeros((order, n, width), dtype=complex)
     lift_at = np.zeros((order, n, width), dtype=complex)
-    for e, wk, uk in kept:
-        m, d = r_classes[e][r_classes[e] != st.zero], dims[e]
-        coords_at[m, :, :d] = (np.sqrt(wk)[None, :] * uk.conj()).reshape(len(m), n, d)
-        lift_at[m, :, :d] = (uk / np.sqrt(wk)[None, :]).reshape(len(m), n, d)
-    # move the base R-classes to the others: u -> p_e u, padding z -> z
+    for (es, _), (w, u), ks in zip(grams, stacked, keeps):
+        for e, we, ue, keep in zip(es, w, u, ks):
+            m, d = r_classes[e][r_classes[e] != st.zero], int(keep.sum())
+            dims[e] = d
+            coords_at[m, :, :d] = (np.sqrt(we[keep])[None, :] * ue[:, keep].conj()).reshape(len(m), n, d)
+            lift_at[m, :, :d] = (ue[:, keep] / np.sqrt(we[keep])[None, :]).reshape(len(m), n, d)
     idem = np.array(st.idempotents, dtype=np.intp)
-    base = np.array(st.base_idempotents, dtype=np.intp)[st.class_of[idem]]
-    moved = tab[st.transversal_at[idem][:, None], r_classes[base]]
-    coords_at[moved] = coords_at[r_classes[base]]
-    lift_at[moved] = lift_at[r_classes[base]]
-    dims[idem] = dims[base]
-    # left multiplication by s sends floor(t) to floor(u) for u in the R-class
-    # of s and t = s^-1 u: one batched product over the padded R-class rows
-    t = tab[st.inv[:, None], r_classes]
+    dims[idem] = dims[st.dom[st.transversal_at[idem]]]   # d_e = d_{e_k}
+    # pi_k(g) on every G_k, and 0 at z: left multiplication by g sends floor(t)
+    # to floor(u) for u in R_{e_k} and t = g^-1 u; then pi(s) = pi_k(g(s))
+    groups = np.unique(st.group_coordinates)
+    t = tab[st.inv[groups][:, None], r_classes[groups]]
     rows = r_classes.shape[1] * n
-    gathered = coords_at[r_classes].reshape(order, rows, width).transpose(0, 2, 1)
-    blocks = gathered @ lift_at[t].reshape(order, rows, width)  # pi(s): H_dom(s) -> H_ran(s)
-    # V x = [identity (x) x] with identity = sum of floor(e) over nonzero idempotents,
-    # so the H_e component of V is the coordinate map of floor(e)
-    v_at = coords_at.transpose(0, 2, 1)
+    gathered = coords_at[r_classes[groups]].reshape(len(groups), rows, width).transpose(0, 2, 1)
+    pi_g = gathered @ lift_at[t].reshape(len(groups), rows, width)
+    blocks = pi_g[np.searchsorted(groups, st.group_coordinates)]
+    v_at = coords_at[st.inv[st.transversal_at]].transpose(0, 2, 1)  # H_e part of V at e, else 0
 
     got = v_at[st.ran].conj().transpose(0, 2, 1) @ blocks @ v_at[st.dom]
     recon = float(np.abs(got - f.values).max())
-    star = float(np.abs(blocks.conj().transpose(0, 2, 1) - blocks[st.inv]).max(initial=0.0))
-    # pi(s) pi(t) is the zero block by construction unless dom(s) = ran(t),
-    # and then st is nonzero: check pi(s) pi(t) = pi(st) per middle idempotent
+    # g(s^-1) = g(s)^-1, and pi(s) pi(t) is the zero block unless dom(s) = ran(t),
+    # when it is pi_k(g(s) g(t)): so star and multiplicativity are checked on each G_k
+    star = float(np.abs(pi_g.conj().transpose(0, 2, 1) - blocks[st.inv[groups]]).max(initial=0.0))
     mult = 0.0
-    for e in st.idempotents:
-        m, d = r_classes[e][r_classes[e] != st.zero], dims[e]
-        left = np.flatnonzero(st.dom == e)
-        prod = blocks[left][:, None, :, :d] @ blocks[m][None, :, :d, :]
-        target = blocks[tab[left[:, None], m[None, :]]]
-        mult = max(mult, float(np.abs(prod - target).max(initial=0.0)))
+    for x in groups[groups != st.zero]:
+        g, d = groups[st.dom[groups] == st.dom[x]], dims[st.dom[x]]
+        prod = blocks[x, :, :d] @ blocks[g, :d, :] - blocks[tab[x, g]]
+        mult = max(mult, float(np.abs(prod).max(initial=0.0)))
 
     # V on the summands at their offsets, in ascending order of e
     offsets = np.cumsum(dims) - dims
-    dim = int(dims.sum())
-    v = np.zeros((dim, n), dtype=complex)
-    for e in idem:
-        v[offsets[e] : offsets[e] + dims[e]] = v_at[e, : dims[e]]
-
+    v = v_at[idem][np.arange(width) < dims[idem][:, None]]
     phi_identity = f.values[idem].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
     # judged relative to the map's largest entry, so the bound is 1e-6 up to unit scale
@@ -379,7 +355,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise ReconstructionFailure(
             f"dilation reconstruction residual {recon:.3e} exceeds {limit:.3e}"
         )
-    return Dilation(st, dim, v, blocks, dims, offsets, recon, ident, mult, star)
+    return Dilation(st, len(v), v, blocks, dims, offsets, recon, ident, mult, star)
 
 
 # --- CP checks on matrix units ----------------------------------------------

@@ -85,6 +85,17 @@ def padded_map(st, values) -> MatrixMap:
     return MatrixMap(st, values.shape[1], NATURAL, vals)
 
 
+def dense_pi(dil) -> np.ndarray:
+    """The dense (|S|, dim, dim) pi of a dilation: each block(s) at rows of
+    H_ran(s) and columns of H_dom(s), zero elsewhere and at z."""
+    st, dims, off = dil.structure, dil.dims, dil.offsets
+    pi = np.zeros((st.table.order, dil.dim, dil.dim), dtype=complex)
+    for s in st.nonzero:
+        a, b = st.ran[s], st.dom[s]
+        pi[s, off[a] : off[a] + dims[a], off[b] : off[b] + dims[b]] = dil.block(s)
+    return pi
+
+
 @pytest.fixture
 def mu2():
     return get_structure("builtin:matrix_units:2")

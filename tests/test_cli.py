@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from semifourier.cli import main
 from semifourier.errors import InternalInconsistency
 from semifourier.harmonic import MatrixMap, from_groupoid
 from semifourier.jsonio import load_map, matrix_from_json, save_map
+from semifourier.positivity import gram_pd_map
 from semifourier.semigroup import MAX_ORDER
 
-from conftest import SAMPLE_DATA
+from conftest import REPO_ROOT, SAMPLE_DATA, get_structure
 
 
 def run_cli(args, capsys):
@@ -299,6 +303,30 @@ def test_stinespring_large_scale_exits_0(tmp_path, capsys, scale):
     assert result["residuals"]["reconstruction"] <= 1e-8 * scale * abs(f.values).max()
 
 
+@pytest.mark.parametrize("ref,dim", [("builtin:symmetric_inverse:4", 208), ("builtin:matrix_units:14", 196)])
+def test_stinespring_report_at_the_size_cap_is_bounded(tmp_path, ref, dim):
+    # one block per element: a dense pi would print |S| dim^2 entries, ~0.5 GB here
+    st = get_structure(ref)
+    path = tmp_path / "gram.json"
+    save_map(gram_pd_map(st, 2, seed=0), path)
+    pythonpath = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    proc = subprocess.run([sys.executable, "-m", "semifourier.cli", "stinespring", str(path)],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout) <= 10_000_000
+    result = json.loads(proc.stdout)["result"]
+    assert result["verdict"] == "ok" and result["dilation_dim"] == dim
+    summands, names = result["summands"], st.table.element_names
+    dims = [summands[names[e]]["dim"] for e in st.idempotents]
+    assert sum(dims) == dim and len(summands) == len(dims)
+    assert [summands[names[e]]["offset"] for e in st.idempotents] == (np.cumsum(dims) - dims).tolist()
+    for s in st.nonzero:
+        block = result["pi"][names[s]]
+        rows, cols = summands[names[st.ran[s]]]["dim"], summands[names[st.dom[s]]]["dim"]
+        assert len(block) == rows and all(len(row) == cols for row in block)
+
+
 def test_cpprobe_identity_rep(capsys):
     result = run_json(
         ["cpprobe", SAMPLE_DATA / "identity_rep_m2.json", "--trials", "40"], capsys
@@ -310,6 +338,27 @@ def test_cpprobe_identity_rep(capsys):
 def test_bad_tolerance_exits_2(capsys):
     code, _, _ = run_cli(["--tol", "-1", "analyze", "builtin:matrix_units:2"], capsys)
     assert code == 2
+
+
+REP = SAMPLE_DATA / "identity_rep_m2.json"
+
+
+@pytest.mark.parametrize("option,argv", [
+    ("--tol", ["--tol", "nan", "check", SAMPLE_DATA / "gram_i2_seed0.json", "--which", "pd"]),
+    ("--tol", ["--tol", "inf", "check", SAMPLE_DATA / "random_i2_seed0.json", "--which", "pd"]),
+    ("--seed", ["--seed", "-1", "analyze", "builtin:matrix_units:2"]),
+    ("--trials", ["cpprobe", REP, "--trials", "-3"]),
+    ("--trials", ["cpprobe", REP, "--trials", "0"]),
+    ("--target-dim", ["cpprobe", REP, "--target-dim", "0"]),
+    ("--target-dim", ["cpprobe", REP, "--target-dim", "-2"]),
+], ids=["tol-nan", "tol-inf", "seed-negative", "trials-negative", "trials-zero", "target-dim-zero",
+        "target-dim-negative"])
+def test_option_out_of_range_exits_2(capsys, option, argv):
+    # --tol finite and positive, --seed >= 0, --trials and --target-dim >= 1
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "BadOption" and error["message"].startswith(option + " ")
 
 
 def test_text_format(capsys):

@@ -35,7 +35,7 @@ from semifourier.positivity import (
     MatrixAlgebraRep,
 )
 
-from conftest import get_irreps, get_structure
+from conftest import dense_pi, get_irreps, get_structure
 
 
 # --- evaluation helpers ---------------------------------------------------------
@@ -199,7 +199,7 @@ def test_stinespring_empty_quotient(i2):
     tiny = MatrixMap(i2, 2, GROUPOID, 1e-12 * g.values)
     dil = stinespring(tiny)
     assert dil.dim == 0
-    assert dil.v.shape == (0, 2) and dil.pi.shape == (i2.table.order, 0, 0)
+    assert dil.v.shape == (0, 2) and dense_pi(dil).shape == (i2.table.order, 0, 0)
     assert dil.reconstruction_residual == pytest.approx(np.abs(tiny.values).max(), rel=1e-12)
     assert dil.multiplicativity_residual == 0.0 and dil.star_residual == 0.0
 
