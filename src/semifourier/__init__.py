@@ -9,7 +9,7 @@ dilation and the CP-vs-positivity criterion.
 __version__ = "0.1.0"
 
 from . import cxmat, errors, grouprep, harmonic, maps, positivity, semigroup
-from .cxmat import DEFAULT_TOL, BlockTensor, is_psd, kron, min_eigenvalue_hermitian, partial_trace_left
+from .cxmat import DEFAULT_TOL, BlockTensor, is_psd, kron, partial_trace_left
 from .harmonic import (
     FourierData,
     InducedRep,

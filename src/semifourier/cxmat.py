@@ -17,8 +17,8 @@ DEFAULT_TOL = 1e-9
 
 
 def bound(tol: float, scale: float) -> float:
-    """The library's one scale rule: tol relative to max(1, scale)."""
-    return tol * max(1.0, scale)
+    """The library's one scale rule: tol relative to the judged object's own scale."""
+    return tol * scale
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -41,8 +41,8 @@ class BlockTensor:
     """An element of M_d x M_n stored as one (d*n) x (d*n) matrix.
 
     The factor dimensions are kept explicit so partial traces are well
-    defined.  Fourier transforms, Choi matrices and supermap tensors all
-    live here.
+    defined.  Fourier transforms and Choi matrices live here, the values of
+    a supermap among them.
     """
 
     dim_left: int
@@ -93,9 +93,9 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     ``mirrors`` by the blocks at the transposed positions, and ``spectra`` by
     the ascending eigenvalues of the pieces its Hermitized form splits into;
     the defect is then max |block - mirror^dagger|.  A non-Hermitian matrix
-    is simply not PSD: the verdict needs defect <= tol * max(1, max-abs
-    entry) and min eigenvalue >= -tol * max(1, ||.||_2).  This is the
-    library's one PSD verdict.  Returns (verdict, min eigenvalue, hermitian
+    is simply not PSD: the verdict needs defect <= tol * max-abs entry and
+    min eigenvalue >= -tol * ||.||_2, so scaling the matrix leaves it
+    unchanged.  This is the library's one PSD verdict.  Returns (verdict, min eigenvalue, hermitian
     defect, ||.||_2).
     """
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
@@ -112,22 +112,13 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
 
 
-def min_eigenvalue_hermitian(a, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of the Hermitized (a + a^dagger)/2.
-
-    Raises NotHermitian when ``a`` deviates from Hermitian by more than
-    tol * max(1, max-abs entry).
-    """
-    return is_psd(a, tol)[1]
-
-
 def is_psd(a, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """PSD test with witness.
 
     Returns (verdict, witness) where witness is the smallest eigenvalue of
-    the Hermitized matrix and the verdict is ``witness >= -tol * max(1, ||a||_2)``.
-    Raises NotHermitian when the hermitian defect exceeds tol * max(1,
-    max-abs entry); past that check the verdict is ``psd_verdict``'s.
+    the Hermitized matrix and the verdict is ``witness >= -tol * ||a||_2``.
+    Raises NotHermitian when the hermitian defect exceeds tol * max-abs
+    entry; past that check the verdict is ``psd_verdict``'s.
     """
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:

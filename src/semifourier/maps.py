@@ -1,5 +1,5 @@
-"""Algebra of maps: semigroup convolution, Choi matrix and inversion, and the
-supermap layer (basis supermaps, star convolution, representing map).
+"""Algebra of maps: semigroup convolution, Choi matrix and inversion, and
+supermaps, which are maps on matrix units as well.
 
 The convolution of two maps, (Phi * Psi)(k) = sum over nonzero factorizations
 s t = k of Phi(s) Psi(t), is the product of their lifts sum_s s (x) Phi(s) in
@@ -12,7 +12,9 @@ dom(s) = ran(t).  Each coefficient of the product is then a sum over one
 R-class, gathered from index tables the structure builds once, and Mobius
 inversion brings it back to the natural basis.  On the matrix-unit semigroup
 the natural order is discrete, the lift is the Choi matrix, and convolution
-becomes the product preserved by the Choi-Jamiolkowski isomorphism.
+becomes the product preserved by the Choi-Jamiolkowski isomorphism.  A
+supermap is the map on matrix_units:(m1 n2) that takes each basis map's unit to
+the Choi matrix of its image: star convolution is ``convolve`` on it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     WrongSemigroup,
 )
 from .harmonic import GROUPOID, NATURAL, MatrixMap, as_groupoid, check_same_semigroup, from_groupoid
-from .semigroup import InverseStructure
+from .semigroup import InverseStructure, matrix_unit_index
 
 _CONVOLVE_ROWS = 32  # coefficients per gather in convolve: 0.4 MB of factors at I_4, n = 4
 
@@ -65,10 +67,10 @@ def choi(f: MatrixMap) -> BlockTensor:
     """Choi matrix sum_ij e_ij (x) Phi(e_ij) of a map on matrix units."""
     # this is positivity.rep_fourier at identity_rep(m), rho(e_ij) = e_ij;
     # it stays a layout: there each entry of the einsum sums m^2 terms, all but one zero
-    m = matrix_units_size(f.structure)
+    m, n = matrix_units_size(f.structure), f.dim
     # the natural order on matrix units is discrete, so both bases store Phi(e_ij),
     # and e_ij is element 1 + (i-1) m + (j-1): values[1:] is the value table
-    return map_values_to_choi(f.values[1:].reshape(m, m, f.dim, f.dim))
+    return BlockTensor(m, n, f.values[1:].reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n))
 
 
 def choi_invert(c: BlockTensor, x: np.ndarray) -> np.ndarray:
@@ -88,105 +90,70 @@ def map_from_choi(c: BlockTensor, structure: InverseStructure) -> MatrixMap:
         raise DimensionMismatch("Choi tensor does not match the semigroup")
     n = c.dim_right
     vals = np.zeros((structure.table.order, n, n), dtype=complex)
-    vals[1:] = choi_to_map_values(c).reshape(m * m, n, n)
+    vals[1:] = c.reshaped().transpose(0, 2, 1, 3).reshape(m * m, n, n)
     return MatrixMap(structure, n, NATURAL, vals)
 
 
 # --- supermaps --------------------------------------------------------------
 
-def map_values_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution of matrix-algebra maps stored as value tables.
+def supermap_basis(i: int, j: int, k: int, l: int, n2: int, structure: InverseStructure) -> MatrixMap:
+    """The basis map E_ijkl: A -> tr(e_ij^dagger A) e_kl on ``structure`` = matrix_units:m1.
 
-    A value table v[i, j] = F(e_ij) in M_n has shape (m, m, n, n);
-    (F * G)(e_ij) = sum_k F(e_ik) G(e_kj).
-    """
-    if a.shape != b.shape:
-        raise DimensionMismatch("convolution needs equal shapes")
-    return np.einsum("ikab,kjbc->ijac", a, b)
-
-
-def map_values_to_choi(v: np.ndarray) -> BlockTensor:
-    m, _, n, _ = v.shape
-    return BlockTensor(m, n, np.einsum("ijab->iajb", v).reshape(m * n, m * n))
-
-
-def choi_to_map_values(c: BlockTensor) -> np.ndarray:
-    return np.einsum("iajb->ijab", c.reshaped())
-
-
-def supermap_basis(i: int, j: int, k: int, l: int, m1: int, n2: int) -> np.ndarray:
-    """The basis map A -> tr(e_ij^dagger A) e_kl, as its value table.
-
-    Indices are 1-based; (i, j) ranges over the source units, (k, l) over
-    the target units.
-    """
+    Indices are 1-based: (i, j) over the source units, (k, l) the target's."""
+    m1 = matrix_units_size(structure)
     if not (1 <= i <= m1 and 1 <= j <= m1 and 1 <= k <= n2 and 1 <= l <= n2):
         raise IndexOutOfRange(f"basis indices ({i},{j},{k},{l}) out of range")
-    v = np.zeros((m1, m1, n2, n2), dtype=complex)
-    v[i - 1, j - 1, k - 1, l - 1] = 1.0
-    return v
+    vals = np.zeros((structure.table.order, n2, n2), dtype=complex)
+    vals[matrix_unit_index(m1, i, j), k - 1, l - 1] = 1.0
+    return MatrixMap(structure, n2, NATURAL, vals)
 
 
 @dataclass(frozen=True)
 class Supermap:
-    """A linear map between spaces of matrix-algebra maps.
+    """A linear map Theta from maps M_m1 -> M_n2 to maps M_m3 -> M_n4.
 
-    ``action[i, j, k, l]`` is the value table (over M_{m3} units, values in
-    M_{n4}) of the image of the source basis map with indices (i, j, k, l);
-    all indices 0-based internally.
+    ``map`` is the natural-basis map on matrix_units:(m1 n2) whose value at
+    e_(i,k),(j,l) is the Choi matrix of Theta(E_ijkl), as [(u, a), (w, b)] in
+    M_(m3 n4).  The dimensions are kept since m1 n2 alone does not fix the split.
     """
 
     m1: int
     n2: int
     m3: int
     n4: int
-    action: np.ndarray  # (m1, m1, n2, n2, m3, m3, n4, n4)
+    map: MatrixMap
 
     def __post_init__(self):
-        a = np.asarray(self.action, dtype=complex)
-        want = (self.m1, self.m1, self.n2, self.n2, self.m3, self.m3, self.n4, self.n4)
-        if a.shape != want:
-            raise DimensionMismatch(f"action tensor must have shape {want}, got {a.shape}")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "action", a)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to a map given by its value table v[i, j] = Gamma(e_ij)."""
-        if v.shape != (self.m1, self.m1, self.n2, self.n2):
-            raise DimensionMismatch("value table does not match supermap source dims")
-        return np.einsum("ijkl,ijklpqrs->pqrs", v, self.action)
+        f, want = self.map, (self.m1 * self.n2, self.m3 * self.n4, NATURAL)
+        if (matrix_units_size(f.structure), f.dim, f.basis) != want:
+            raise DimensionMismatch("supermap must be a natural map on matrix_units:(m1 n2) into M_(m3 n4)")
 
 
-def identity_supermap(m1: int, n2: int) -> Supermap:
-    """The supermap Theta(F) = F (source and target spaces coincide)."""
-    action = np.eye((m1 * n2) ** 2).reshape(m1, m1, n2, n2, m1, m1, n2, n2)
-    return Supermap(m1, n2, m1, n2, action)
+def identity_supermap(m1: int, n2: int, structure: InverseStructure) -> Supermap:
+    """The supermap Theta(F) = F: each unit e_u goes to itself, so its Choi matrix is vec(I) vec(I)^T."""
+    vec = np.eye(m1 * n2).ravel()
+    return Supermap(m1, n2, m1, n2, map_from_choi(BlockTensor(m1 * n2, m1 * n2, np.outer(vec, vec)), structure))
 
 
-def unit_supermap(m1: int, n2: int, m3: int, n4: int) -> Supermap:
-    """The unit of star convolution: E_ijkl -> delta_ij delta_kl (unit of *)."""
-    action = np.einsum("ij,kl,pq,rs->ijklpqrs", np.eye(m1), np.eye(n2), np.eye(m3), np.eye(n4))
-    return Supermap(m1, n2, m3, n4, action)
+def unit_supermap(m1: int, n2: int, m3: int, n4: int, structure: InverseStructure) -> Supermap:
+    """The unit of star convolution, E_ijkl -> delta_ij delta_kl (unit of *): Choi matrix I."""
+    d = m1 * n2 * m3 * n4
+    return Supermap(m1, n2, m3, n4, map_from_choi(BlockTensor(m1 * n2, m3 * n4, np.eye(d)), structure))
 
 
 def supermap_convolve(t1: Supermap, t2: Supermap) -> Supermap:
-    """(T1 star T2)(E_ijkl) = sum_pq T1(E_ipkq) * T2(E_pjql)."""
+    """(T1 star T2)(E_ijkl) = sum_pq T1(E_ipkq) * T2(E_pjql).
+
+    Choi(F * G) = Choi(F) Choi(G) and e_(i,k),(p,q) e_(p,q),(j,l) = e_(i,k),(j,l),
+    so this is ``convolve`` on matrix_units:(m1 n2).
+    """
     if (t1.m1, t1.n2, t1.m3, t1.n4) != (t2.m1, t2.n2, t2.m3, t2.n4):
         raise DimensionMismatch("supermaps have different dimension signatures")
-    action = np.einsum("ipkquwab,pjqlwvbc->ijkluvac", t1.action, t2.action)
-    return Supermap(t1.m1, t1.n2, t1.m3, t1.n4, action)
+    return Supermap(t1.m1, t1.n2, t1.m3, t1.n4, convolve(t1.map, t2.map))
 
 
 def representing_map(t: Supermap, x: BlockTensor) -> BlockTensor:
-    """Action on Choi tensors: T(X) = Choi(Theta(map decoded from X))."""
+    """Action on Choi tensors: T(X) = Choi(Theta(map decoded from X)) = t.map evaluated at X."""
     if (x.dim_left, x.dim_right) != (t.m1, t.n2):
         raise DimensionMismatch("Choi tensor does not match supermap source dims")
-    return map_values_to_choi(t.apply(choi_to_map_values(x)))
-
-
-def supermap_reconstruction(t: Supermap) -> np.ndarray:
-    """The tensor sum_ijkl E_ijkl (x) Theta(E_ijkl): the action table itself."""
-    # basis[i, j, k, l] is the value table of E_ijkl, as supermap_basis builds it
-    basis = np.eye((t.m1 * t.n2) ** 2).reshape(t.action.shape[:4] * 2)
-    return np.einsum("ijklabcd,abcdpqrs->ijklpqrs", basis, t.action)
+    return BlockTensor(t.m3, t.n4, choi_invert(choi(t.map), x.matrix))

@@ -136,6 +136,7 @@ class PDSlice:
     verdict: bool
     witness: float          # min eigenvalue (worst class in blocks mode)
     hermitian_defect: float
+    norm: float             # ||.||_2 the witness is judged against (largest class in blocks mode)
     per_class: tuple[tuple[int, bool, float], ...] | None = None
 
 
@@ -173,26 +174,24 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
         # the entries of N: Lambda(u) at each nonzero u = ran(u)^-1 u, and 0 = Lambda(z)
         vals = eval_natural(f)
         spectra = [w for _, w in _natural_spectra(f)]
-        ok, lo, defect, _ = psd_verdict([vals], tol, spectra, mirrors=[vals[st.inv]])
-        return PDSlice(mode, ok, lo, defect)
+        return PDSlice(mode, *psd_verdict([vals], tol, spectra, mirrors=[vals[st.inv]]))
     # s -> p_e s maps the R-class of a class's base idempotent onto that of
     # its idempotent e and keeps s^-1 t: one R-block stands for the class
     grams = _r_class_grams(f, st.base_idempotents)
     spectra = [np.linalg.eigvalsh(hermitized(g)) for _, g in grams]
     if mode != "blocks":
-        ok, lo, defect, _ = psd_verdict([g for _, g in grams], tol, spectra)
-        return PDSlice(mode, ok, lo, defect)
+        return PDSlice(mode, *psd_verdict([g for _, g in grams], tol, spectra))
     per = []
-    worst_defect = 0.0
+    worst_defect = norm = 0.0
     for (es, stack), ws in zip(grams, spectra):
         for e, g, w in zip(es, stack, ws):
-            ok, lo, defect, _ = psd_verdict([g], tol, [w])
+            ok, lo, defect, norm2 = psd_verdict([g], tol, [w])
             per.append((int(st.class_of[e]), ok, lo))
-            worst_defect = max(worst_defect, defect)
+            worst_defect, norm = max(worst_defect, defect), max(norm, norm2)
     per.sort()
     verdict = all(ok for _, ok, _ in per)
     worst = min((lo for _, _, lo in per), default=np.inf)
-    return PDSlice(mode, verdict, float(worst), worst_defect, tuple(per))
+    return PDSlice(mode, verdict, float(worst), worst_defect, norm, tuple(per))
 
 
 # --- Bochner ----------------------------------------------------------------
@@ -219,8 +218,9 @@ def bochner_check(
 
     The Fourier transforms are those of f itself; the PD verdict is taken on
     the groupoid-side coefficients, exactly as the biconditional states it.
-    A decisive disagreement raises InternalInconsistency (a bug signal); a
-    family passed as reps that is not complete raises IncompleteIrrepSet.
+    A disagreement with both witnesses beyond 10 tol max(||G||_2, ||FT||_2),
+    the norms the verdicts were judged against, raises InternalInconsistency
+    (a bug signal); an incomplete family passed as reps, IncompleteIrrepSet.
     """
     st = f.structure
     if reps is None:
@@ -229,17 +229,18 @@ def bochner_check(
         check_irreps_complete(st, reps)
     tilde = as_groupoid(f)
     pd = pd_check(tilde, "groupoid", tol)
-    per = []
+    per, norms = [], [pd.norm]
     all_ok = True
     worst = np.inf
     for rep, t in zip(reps, fourier_transform_all(tilde, reps).transforms):
-        ok, lo, _, _ = psd_verdict([t.matrix], tol)
+        ok, lo, _, norm2 = psd_verdict([t.matrix], tol)
         per.append((rep.irrep_id, ok, lo))
+        norms.append(norm2)
         all_ok = all_ok and ok
         worst = min(worst, lo)
     report = BochnerReport(pd, tuple(per), all_ok, float(worst))
     if pd.verdict != all_ok:
-        band = bound(10.0 * tol, max(abs(pd.witness), abs(report.transforms_witness)))
+        band = bound(10.0 * tol, max(norms))
         if min(abs(pd.witness), abs(report.transforms_witness)) > band:
             raise InternalInconsistency(
                 f"Bochner disagreement: pd witness {pd.witness:.3e}, "
@@ -349,7 +350,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     v = v_at[idem][np.arange(width) < dims[idem][:, None]]
     phi_identity = f.values[idem].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
-    # judged relative to the map's largest entry, so the bound is 1e-6 up to unit scale
+    # judged relative to the map's largest entry, so that it does not change with scale
     limit = bound(1e-6, float(np.abs(f.values).max()))
     if recon > limit:
         raise ReconstructionFailure(

@@ -283,15 +283,15 @@ def test_stinespring_non_pd_reports_in_payload(capsys):
 
 def test_stinespring_empty_quotient_exits_0(tmp_path, capsys):
     f = load_map(SAMPLE_DATA / "gram_i2_seed0.json")
-    path = tmp_path / "tiny.json"
-    save_map(MatrixMap(f.structure, f.dim, f.basis, 1e-12 * f.values), path)
+    path = tmp_path / "zero.json"
+    save_map(MatrixMap(f.structure, f.dim, f.basis, 0.0 * f.values), path)
     result = run_json(["stinespring", path], capsys)["result"]
     assert result["verdict"] == "ok"
     assert result["dilation_dim"] == 0
     assert result["v"] == [] and all(m == [] for m in result["pi"].values())
 
 
-@pytest.mark.parametrize("scale", [1e10, 1e12])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e10, 1e12])
 def test_stinespring_large_scale_exits_0(tmp_path, capsys, scale):
     f = load_map(SAMPLE_DATA / "gram_i2_seed0.json")
     path = tmp_path / "big.json"

@@ -9,7 +9,6 @@ from semifourier.cxmat import (
     BlockTensor,
     is_psd,
     kron,
-    min_eigenvalue_hermitian,
     partial_trace_left,
     psd_verdict,
 )
@@ -97,24 +96,22 @@ def test_partial_trace_of_kron():
 
 
 def test_min_eigenvalue_identity():
-    assert min_eigenvalue_hermitian(I2) == pytest.approx(1.0)
+    assert is_psd(I2)[1] == pytest.approx(1.0)
 
 
 def test_min_eigenvalue_swap():
     # SWAP is an involution with trace 2: eigenvalues {1, 1, 1, -1}
-    assert min_eigenvalue_hermitian(SWAP) == pytest.approx(-1.0, abs=1e-12)
+    assert is_psd(SWAP)[1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_min_eigenvalue_gram_psd():
     rng = np.random.default_rng(6)
     for _ in range(50):
         b = rand(rng, 4, 3)
-        assert min_eigenvalue_hermitian(b.conj().T @ b) >= -1e-9
+        assert is_psd(b.conj().T @ b)[1] >= -1e-9
 
 
 def test_not_hermitian_raises():
-    with pytest.raises(NotHermitian):
-        min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from semifourier.cxmat import DEFAULT_TOL, block_matrix, bound, hermitized, psd_verdict
+from semifourier.cxmat import DEFAULT_TOL, BlockTensor, block_matrix, bound, hermitized, psd_verdict
 from semifourier.errors import (
     NotARepresentation,
     NotAssociative,
@@ -44,8 +44,8 @@ from semifourier.maps import (
     Supermap,
     convolve,
     identity_supermap,
-    supermap_basis,
-    supermap_reconstruction,
+    representing_map,
+    supermap_convolve,
     unit_supermap,
 )
 from semifourier.grouprep import (
@@ -1182,11 +1182,48 @@ def oracle_unit_supermap(m1, n2, m3, n4):
     return action
 
 
-def oracle_supermap_reconstruction(t):
-    out = np.zeros_like(t.action)
-    for i, j, k, l in itertools.product(range(t.m1), range(t.m1), range(t.n2), range(t.n2)):
-        out[i, j, k, l] = t.apply(supermap_basis(i + 1, j + 1, k + 1, l + 1, t.m1, t.n2))
+# A supermap was once stored as an action table: action[i, j, k, l] is the
+# value table v[u, w] = Theta(E_ijkl)(e_uw) of the image of E_ijkl, shape
+# (m1, m1, n2, n2, m3, m3, n4, n4).  Its map on matrix_units:(m1 n2) holds the
+# same numbers at e_(i,k),(j,l), as the Choi matrix [(u, a), (w, b)].
+
+def action_to_map(action, st):
+    m1, _, n2, _, m3, _, n4, _ = action.shape
+    vals = np.zeros((st.table.order, m3 * n4, m3 * n4), dtype=complex)
+    vals[1:] = action.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape((m1 * n2) ** 2, m3 * n4, m3 * n4)
+    return MatrixMap(st, m3 * n4, NATURAL, vals)
+
+
+def map_to_action(t):
+    m1, n2, m3, n4 = t.m1, t.n2, t.m3, t.n4
+    return t.map.values[1:].reshape(m1, n2, m1, n2, m3, n4, m3, n4).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+
+
+def oracle_value_table_convolve(a, b):
+    """(F * G)(e_ij) = sum_k F(e_ik) G(e_kj) on value tables v[i, j] = F(e_ij)."""
+    return np.einsum("ikab,kjbc->ijac", a, b)
+
+
+def oracle_star(a1, a2):
+    """(T1 star T2)(E_ijkl) = sum_pq T1(E_ipkq) * T2(E_pjql), on action tables."""
+    return np.einsum("ipkquwab,pjqlwvbc->ijkluvac", a1, a2)
+
+
+def oracle_star_by_definition(a1, a2):
+    m1, _, n2 = a1.shape[:3]
+    out = np.zeros_like(a1)
+    for i, j, k, l in itertools.product(range(m1), range(m1), range(n2), range(n2)):
+        for p, q in itertools.product(range(m1), range(n2)):
+            out[i, j, k, l] += oracle_value_table_convolve(a1[i, p, k, q], a2[p, j, q, l])
     return out
+
+
+def oracle_representing_map(action, x):
+    """Choi(Theta(F)) for the map F decoded from the Choi tensor x, through the action table."""
+    m1, _, n2, _, m3, _, n4, _ = action.shape
+    v = np.einsum("iajb->ijab", x.reshape(m1, n2, m1, n2))
+    out = np.einsum("ijkl,ijklpqrs->pqrs", v, action)
+    return np.einsum("ijab->iajb", out).reshape(m3 * n4, m3 * n4)
 
 
 def oracle_rep_fourier(rho, f):
@@ -1268,15 +1305,38 @@ def test_matrix_algebra_reps_equal_index_loops_bitwise(m):
         assert bitwise(direct_sum_rep(m, copies, pad).matrices, oracle_direct_sum_rep(m, copies, pad))
 
 
-@pytest.mark.parametrize("m1,n2,m3,n4", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 2)])
+SUPERMAP_SIGNATURES = [(1, 1, 1, 1), (2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 3), (3, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("m1,n2,m3,n4", SUPERMAP_SIGNATURES)
 def test_supermaps_equal_index_loops_bitwise(m1, n2, m3, n4):
-    assert bitwise(identity_supermap(m1, n2).action, oracle_identity_supermap(m1, n2))
-    assert bitwise(unit_supermap(m1, n2, m3, n4).action, oracle_unit_supermap(m1, n2, m3, n4))
+    st = get_structure(f"builtin:matrix_units:{m1 * n2}")
+    assert bitwise(map_to_action(identity_supermap(m1, n2, st)), oracle_identity_supermap(m1, n2))
+    assert bitwise(map_to_action(unit_supermap(m1, n2, m3, n4, st)), oracle_unit_supermap(m1, n2, m3, n4))
+
+
+@pytest.mark.parametrize("m1,n2,m3,n4", SUPERMAP_SIGNATURES)
+def test_supermap_kernels_equal_the_action_table_einsums(m1, n2, m3, n4):
+    st = get_structure(f"builtin:matrix_units:{m1 * n2}")
     rng = np.random.default_rng([m1, n2, m3, n4, 37])
     shape = (m1, m1, n2, n2, m3, m3, n4, n4)
-    t = Supermap(m1, n2, m3, n4, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    for sm in (t, unit_supermap(m1, n2, m3, n4)):
-        assert bitwise(supermap_reconstruction(sm), oracle_supermap_reconstruction(sm))
+    a1, a2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    t1, t2 = (Supermap(m1, n2, m3, n4, action_to_map(a, st)) for a in (a1, a2))
+    assert bitwise(map_to_action(t1), a1)
+    want = oracle_star(a1, a2)
+    assert bitwise(map_to_action(supermap_convolve(t1, t2)), want)
+    assert_close(oracle_star_by_definition(a1, a2), want)
+    # the unit of star convolution, both ways round
+    unit = unit_supermap(m1, n2, m3, n4, st)
+    assert_close(map_to_action(supermap_convolve(t1, unit)), a1)
+    assert_close(map_to_action(supermap_convolve(unit, t1)), a1)
+    x = rng.standard_normal((m1 * n2, m1 * n2)) + 1j * rng.standard_normal((m1 * n2, m1 * n2))
+    got = representing_map(t1, BlockTensor(m1, n2, x)).matrix
+    want_x = oracle_representing_map(a1, x)
+    assert np.abs(got - want_x).max() <= 1e-14 * np.abs(want_x).max()
+    ident = identity_supermap(m1, n2, st)
+    assert np.array_equal(representing_map(ident, BlockTensor(m1, n2, x)).matrix, x)
+    assert np.array_equal(oracle_representing_map(map_to_action(ident), x), x)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 14])

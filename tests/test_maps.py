@@ -5,22 +5,18 @@ import pytest
 
 from semifourier.cxmat import BlockTensor
 from semifourier.errors import DimensionMismatch, IndexOutOfRange, WrongSemigroup
-from semifourier.harmonic import NATURAL, MatrixMap
+from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap
 from semifourier.maps import (
     Supermap,
     choi,
     choi_invert,
-    choi_to_map_values,
     convolve,
     identity_supermap,
     map_from_choi,
-    map_values_convolve,
-    map_values_to_choi,
     matrix_units_size,
     representing_map,
     supermap_basis,
     supermap_convolve,
-    supermap_reconstruction,
     unit_supermap,
 )
 from semifourier.semigroup import cyclic_group_table, matrix_unit_index
@@ -48,10 +44,10 @@ def group_convolution(group, a, b):
     return out
 
 
-def random_supermap(seed):
-    rng = np.random.default_rng([seed, 29])
-    act = rng.standard_normal((2,) * 8) + 1j * rng.standard_normal((2,) * 8)
-    return Supermap(2, 2, 2, 2, act)
+def random_supermap(seed, m1=2, n2=2, m3=2, n4=2):
+    """A random supermap: a random map on matrix_units:(m1 n2) into M_(m3 n4)."""
+    st = get_structure(f"builtin:matrix_units:{m1 * n2}")
+    return Supermap(m1, n2, m3, n4, random_map(st, m3 * n4, seed))
 
 
 # --- convolution -------------------------------------------------------------
@@ -128,7 +124,8 @@ def test_tensor_lift_intertwines_convolution_exactly():
     st = get_structure("builtin:matrix_units:2")
     f = random_map(st, 2, 5, integer=True)
     g = random_map(st, 2, 6, integer=True)
-    lifted = map_values_convolve(f.values[1:].reshape(2, 2, 2, 2), g.values[1:].reshape(2, 2, 2, 2))
+    # value tables v[i, j] = F(e_ij): (F * G)(e_ij) = sum_k F(e_ik) G(e_kj)
+    lifted = np.einsum("ikab,kjbc->ijac", f.values[1:].reshape(2, 2, 2, 2), g.values[1:].reshape(2, 2, 2, 2))
     conv = convolve(f, g)
     assert np.array_equal(lifted.reshape(4, 2, 2), conv.values[1:])
 
@@ -228,6 +225,11 @@ def test_map_from_choi_roundtrip():
     f = random_map(st, 2, 11)
     back = map_from_choi(choi(f), st)
     assert np.abs(back.values - f.values).max() == 0.0
+    # and the other way, with target and source dimensions apart
+    mu2 = get_structure("builtin:matrix_units:2")
+    rng = np.random.default_rng(34)
+    c = BlockTensor(2, 3, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    assert np.abs(choi(map_from_choi(c, mu2)).matrix - c.matrix).max() == 0.0
 
 
 def test_choi_invert_dimension_guard():
@@ -239,52 +241,53 @@ def test_choi_invert_dimension_guard():
 
 # --- supermaps ---------------------------------------------------------------------
 
-def test_supermap_basis_values():
-    v = supermap_basis(1, 1, 1, 1, 2, 2)
+def test_supermap_basis_values(mu2):
+    v = supermap_basis(1, 1, 1, 1, 2, mu2)
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0
-    assert np.array_equal(v[0, 0], e11)
-    assert np.abs(v[0, 1]).max() == 0.0
+    assert (v.structure, v.dim, v.basis) == (mu2, 2, NATURAL)
+    assert np.array_equal(v.values[matrix_unit_index(2, 1, 1)], e11)
+    assert np.abs(v.values[matrix_unit_index(2, 1, 2)]).max() == 0.0
     # E_1212 applied to e_11 gives 0
-    v2 = supermap_basis(1, 2, 1, 2, 2, 2)
-    assert np.abs(v2[0, 0]).max() == 0.0
+    v2 = supermap_basis(1, 2, 1, 2, 2, mu2)
+    assert np.abs(v2.values[matrix_unit_index(2, 1, 1)]).max() == 0.0
 
 
-def test_supermap_basis_index_guard():
+def test_supermap_basis_index_guard(mu2):
     with pytest.raises(IndexOutOfRange):
-        supermap_basis(3, 1, 1, 1, 2, 2)
+        supermap_basis(3, 1, 1, 1, 2, mu2)
+    with pytest.raises(IndexOutOfRange):
+        supermap_basis(1, 1, 1, 3, 2, mu2)
 
 
-def test_basis_convolution_delta_pattern():
+def test_basis_convolution_delta_pattern(mu2):
     # E_ijkl * E_pqrs = delta_lr delta_jp E_iqks, exhaustively for dims 2
     for i, j, k, l, p, q, r, s in itertools.product((1, 2), repeat=8):
-        a = supermap_basis(i, j, k, l, 2, 2)
-        b = supermap_basis(p, q, r, s, 2, 2)
-        got = map_values_convolve(a, b)
+        got = convolve(supermap_basis(i, j, k, l, 2, mu2), supermap_basis(p, q, r, s, 2, mu2))
         want = (
-            supermap_basis(i, q, k, s, 2, 2)
+            supermap_basis(i, q, k, s, 2, mu2).values
             if (l == r and j == p)
-            else np.zeros_like(got)
+            else np.zeros_like(got.values)
         )
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.values, want)
 
 
 def test_unit_supermap_is_star_unit():
     t = random_supermap(0)
-    unit = unit_supermap(2, 2, 2, 2)
-    assert np.abs(supermap_convolve(t, unit).action - t.action).max() <= 1e-12
-    assert np.abs(supermap_convolve(unit, t).action - t.action).max() <= 1e-12
+    unit = unit_supermap(2, 2, 2, 2, t.map.structure)
+    assert np.abs(supermap_convolve(t, unit).map.values - t.map.values).max() <= 1e-12
+    assert np.abs(supermap_convolve(unit, t).map.values - t.map.values).max() <= 1e-12
 
 
 def test_star_convolution_associative():
     t1, t2, t3 = (random_supermap(i) for i in (1, 2, 3))
     lhs = supermap_convolve(supermap_convolve(t1, t2), t3)
     rhs = supermap_convolve(t1, supermap_convolve(t2, t3))
-    assert np.abs(lhs.action - rhs.action).max() <= 1e-9
+    assert np.abs(lhs.map.values - rhs.map.values).max() <= 1e-9
 
 
 def test_representing_map_of_identity_supermap():
-    ident = identity_supermap(2, 2)
+    ident = identity_supermap(2, 2, get_structure("builtin:matrix_units:4"))
     rng = np.random.default_rng(33)
     x = BlockTensor(2, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     assert np.abs(representing_map(ident, x).matrix - x.matrix).max() == 0.0
@@ -312,21 +315,21 @@ def test_representing_map_homomorphism():
         assert np.abs(lhs.values - rhs.values).max() <= 1e-9
 
 
-def test_supermap_reconstruction_identity():
-    t = random_supermap(4)
-    assert np.abs(supermap_reconstruction(t) - t.action).max() == 0.0
-
-
-def test_choi_value_table_roundtrip():
-    rng = np.random.default_rng(34)
-    v = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
-    assert np.abs(choi_to_map_values(map_values_to_choi(v)) - v).max() == 0.0
-
-
 def test_supermap_dimension_guards():
     t = random_supermap(5)
     with pytest.raises(DimensionMismatch):
         representing_map(t, BlockTensor(3, 2, np.zeros((6, 6))))
-    bad = Supermap(2, 2, 2, 2, np.zeros((2,) * 8))
     with pytest.raises(DimensionMismatch):
-        supermap_convolve(t, Supermap(2, 2, 3, 2, np.zeros((2, 2, 2, 2, 3, 3, 2, 2))))
+        supermap_convolve(t, random_supermap(5, 2, 2, 3, 2))
+    # (2,3,3,2) and (3,2,2,3) share matrix_units:6 and M_6, but not the split
+    with pytest.raises(DimensionMismatch):
+        supermap_convolve(random_supermap(6, 2, 3, 3, 2), random_supermap(6, 3, 2, 2, 3))
+    # the map must live on matrix_units:(m1 n2), in M_(m3 n4), in the natural basis
+    with pytest.raises(DimensionMismatch):
+        Supermap(2, 2, 2, 3, t.map)
+    with pytest.raises(DimensionMismatch):
+        Supermap(1, 2, 2, 2, t.map)
+    with pytest.raises(DimensionMismatch):
+        Supermap(2, 2, 2, 2, MatrixMap(t.map.structure, 4, GROUPOID, t.map.values))
+    with pytest.raises(WrongSemigroup):
+        Supermap(2, 2, 2, 2, random_map(get_structure("builtin:symmetric_inverse:2"), 4, 0))

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from semifourier import positivity
 from semifourier.errors import (
     Error,
+    InternalInconsistency,
     NotARepresentation,
     NotFinite,
     NotPositiveDefinite,
@@ -11,7 +15,7 @@ from semifourier.errors import (
     WrongSemigroup,
 )
 from semifourier.cxmat import psd_verdict
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap
+from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, as_groupoid
 from semifourier.positivity import (
     PD_MODES,
     bochner_check,
@@ -156,6 +160,94 @@ def test_bochner_biconditional_random_suite(ref):
             assert report.agrees
 
 
+def shifted_gram_map(st, shift, scale=1.0):
+    """scale * (G - shift * eps): the seed-0 Gram map less shift times I at each idempotent.
+
+    eps's groupoid PD matrix is the identity, so the witness drops by exactly shift.
+    """
+    g = gram_pd_map(st, 2, seed=0)
+    eps = np.zeros_like(g.values)
+    eps[list(st.idempotents)] = np.eye(2)
+    return MatrixMap(st, 2, GROUPOID, scale * (g.values - shift * eps))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_bochner_at_the_psd_boundary_never_raises(i3, scale):
+    # groupoid witness -delta: the PD and transform verdicts may split here, but
+    # each is judged against its own ||.||_2, so the split lies within the band
+    reps = get_irreps("builtin:symmetric_inverse:3")
+    lam = pd_check(gram_pd_map(i3, 2, seed=0), "groupoid").witness
+    for delta in np.logspace(-12, -6, 121):
+        report = bochner_check(shifted_gram_map(i3, lam + delta, scale), reps)
+        assert report.pd.witness == pytest.approx(-delta * scale, abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_bochner_far_from_the_boundary_disagreement_raises(i3, monkeypatch, scale):
+    # a transform family that returns the transforms of -f: the map is PD with
+    # witness 1 but every transform is negative definite, far outside the band
+    f = shifted_gram_map(i3, -1.0, scale)
+    assert pd_check(f, "groupoid").witness >= 0.5 * scale
+    real = positivity.fourier_transform_all
+
+    def negated(g, reps):
+        return real(MatrixMap(g.structure, g.dim, g.basis, -g.values), reps)
+
+    monkeypatch.setattr(positivity, "fourier_transform_all", negated)
+    with pytest.raises(InternalInconsistency):
+        bochner_check(f, get_irreps("builtin:symmetric_inverse:3"))
+
+
+# --- scale covariance ------------------------------------------------------------------
+
+SCALE_REFS = (
+    "builtin:symmetric_inverse:2",
+    "builtin:symmetric_inverse:3",
+    "builtin:matrix_units:2",
+    "builtin:matrix_units:3",
+    "builtin:matrix_units:4",
+    "builtin:cyclic_with_zero:5",
+)
+
+
+def scale_input(ref, kind, n, seed):
+    st = get_structure(ref)
+    m = st.matrix_units_size
+    if kind == "gram":
+        return gram_pd_map(st, n, seed=seed)
+    if kind == "kraus" and m:
+        return random_cp_map(m, n, kraus_count=1 + seed % 3, seed=seed, structure=st)
+    if kind == "transpose" and m:
+        return transpose_map(m, st)
+    return random_map(st, n, seed=seed)
+
+
+def scaled_verdicts(f, ref, c):
+    """Every verdict of c f: PD in each mode, Bochner, the dilation's dimension, CP."""
+    f = MatrixMap(f.structure, f.dim, f.basis, c * f.values)
+    report = bochner_check(f, get_irreps(ref))
+    try:
+        dim = stinespring(as_groupoid(f)).dim
+    except NotPositiveDefinite:
+        dim = None
+    cp = cp_check(f)[0] if f.structure.matrix_units_size else None
+    pd = tuple(pd_check(f, mode).verdict for mode in PD_MODES)
+    return pd, report.pd.verdict, report.transforms_verdict, report.agrees, dim, cp
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ref=hst.sampled_from(SCALE_REFS),
+    kind=hst.sampled_from(["random", "gram", "kraus", "transpose"]),
+    n=hst.integers(1, 2),
+    seed=hst.integers(0, 99),
+    exponent=hst.floats(-12.0, 12.0),
+)
+def test_verdicts_do_not_change_with_scale(ref, kind, n, seed, exponent):
+    f = scale_input(ref, kind, n, seed)
+    assert scaled_verdicts(f, ref, 10.0**exponent) == scaled_verdicts(f, ref, 1.0)
+
+
 # --- stinespring ---------------------------------------------------------------------
 
 def test_stinespring_identity_map():
@@ -193,21 +285,19 @@ def test_stinespring_requires_groupoid_basis(i2):
 
 
 def test_stinespring_empty_quotient(i2):
-    # every Gram eigenvalue falls under the keep threshold: a 0-dimensional
-    # dilation whose reconstruction residual is the size of the map itself
-    g = gram_pd_map(i2, 2, seed=0)
-    tiny = MatrixMap(i2, 2, GROUPOID, 1e-12 * g.values)
-    dil = stinespring(tiny)
+    # the zero map keeps no Gram eigenvalue: a 0-dimensional dilation
+    zero = MatrixMap(i2, 2, GROUPOID, np.zeros((i2.table.order, 2, 2)))
+    dil = stinespring(zero)
     assert dil.dim == 0
     assert dil.v.shape == (0, 2) and dense_pi(dil).shape == (i2.table.order, 0, 0)
-    assert dil.reconstruction_residual == pytest.approx(np.abs(tiny.values).max(), rel=1e-12)
+    assert dil.reconstruction_residual == 0.0
     assert dil.multiplicativity_residual == 0.0 and dil.star_residual == 0.0
 
 
-@pytest.mark.parametrize("scale", [1e10, 1e12])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e10, 1e12])
 def test_stinespring_large_scale(i2, scale):
-    # above unit scale the reconstruction residual is judged against the
-    # map's largest entry, so a PD map times a large c still dilates
+    # the keep rule and the reconstruction residual are judged against the
+    # map's own scale, so a PD map times any c > 0 dilates to the same dimension
     g = gram_pd_map(i2, 2, seed=0)
     big = MatrixMap(i2, 2, GROUPOID, scale * g.values)
     dil = stinespring(big)
