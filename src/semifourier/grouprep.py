@@ -132,7 +132,7 @@ def isotypic_bases(reps: list[GroupRep], perms: np.ndarray) -> tuple[tuple[int, 
     points = np.argsort(label, kind="stable")
     _, first, sizes = np.unique(label[points], return_index=True, return_counts=True)
     orbits = [np.stack([points[a : a + size] for a, c in zip(first, sizes) if c == size])
-              for size in np.unique(sizes)]       # (orbits of this size, size) each
+              for size in np.flatnonzero(np.bincount(sizes))]  # (orbits of this size, size) each, ascending
     out = []
     for rep in reps:
         e11 = np.zeros((p, p), dtype=complex)

@@ -3,18 +3,15 @@ supermaps, which are maps on matrix units as well.
 
 The convolution of two maps, (Phi * Psi)(k) = sum over nonzero factorizations
 s t = k of Phi(s) Psi(t), is the product of their lifts sum_s s (x) Phi(s) in
-C0[S] (x) M_n: this is the paper's isomorphism between the convolution
-algebra L(C0[S], M_n) and C0[S] (x) M_n, and a natural-basis map's values
-are the coefficients of its lift.  The product is formed in the
-groupoid basis, in which C0[S] is the groupoid algebra
-(+)_k M_{r_k}(C[G_k]) and floor(s) floor(t) = floor(st) exactly when
-dom(s) = ran(t).  Each coefficient of the product is then a sum over one
-R-class, gathered from index tables the structure builds once, and Mobius
-inversion brings it back to the natural basis.  On the matrix-unit semigroup
-the natural order is discrete, the lift is the Choi matrix, and convolution
-becomes the product preserved by the Choi-Jamiolkowski isomorphism.  A
-supermap is the map on matrix_units:(m1 n2) that takes each basis map's unit to
-the Choi matrix of its image: star convolution is ``convolve`` on it.
+C0[S] (x) M_n: this is the paper's isomorphism between L(C0[S], M_n) and
+C0[S] (x) M_n.  It is formed in the groupoid basis, where C0[S] is
+(+)_k M_{r_k}(C[G_k]) on the Steinberg grid of each D-class (Steinberg 2006):
+one matrix product over the group algebra C[G_k] per class, brought back to
+the natural basis by Mobius inversion.  On matrix units (r = m, G trivial) the
+lift is the Choi matrix and convolution is the product that the
+Choi-Jamiolkowski isomorphism preserves.  A supermap is the map on
+matrix_units:(m1 n2) that takes each basis map's unit to the Choi matrix of
+its image: star convolution is ``convolve`` on it.
 """
 
 from __future__ import annotations
@@ -32,25 +29,25 @@ from .errors import (
 from .harmonic import GROUPOID, NATURAL, MatrixMap, as_groupoid, check_same_semigroup, from_groupoid
 from .semigroup import InverseStructure, matrix_unit_index
 
-_CONVOLVE_ROWS = 32  # coefficients per gather in convolve: 0.4 MB of factors at I_4, n = 4
-
 
 def convolve(f1: MatrixMap, f2: MatrixMap) -> MatrixMap:
-    """Semigroup convolution of two maps, each in either basis.
+    """Semigroup convolution of two maps, each in either basis, as a natural-basis map.
 
-    Both maps are read in the groupoid basis, where the product's coefficient at
-    floor(k) is sum over ran(s) = ran(k) of PhiT(floor(s)) PsiT(floor(s^-1 k)):
-    one batched product over the structure's padded R-class tables.
-    The result comes back through Mobius inversion, as a natural-basis map.
+    On the grid of each D-class the groupoid values form A in M_r(C[G]), and
+    (A * B)[a, b](g) = sum_c sum_h A[a, c](h) B[c, b](h^-1 g): one
+    (r n, r |G| n) . (r |G| n, r |G| n) product, with B gathered at
+    grid[c, b, h^-1 g].  Mobius inversion brings the product back.
     """
     check_same_semigroup(f1, f2)
-    left, right = f1.structure.groupoid_factors
-    a, b = as_groupoid(f1).values, as_groupoid(f2).values
-    vals = np.empty_like(a)
-    for k in range(0, len(left), _CONVOLVE_ROWS):
-        rows = slice(k, k + _CONVOLVE_ROWS)
-        vals[rows] = np.einsum("kmab,kmbc->kac", a[left[rows]], b[right[rows]])
-    return from_groupoid(MatrixMap(f1.structure, f1.dim, GROUPOID, vals))
+    st, n = f1.structure, f1.dim
+    # row x n + i of these (|S| n, n) views is row i of the value at x
+    a, b = (as_groupoid(f).values.reshape(-1, n) for f in (f1, f2))
+    vals, i = np.zeros_like(a), np.arange(n)[:, None, None]
+    for grid, q in zip(st.class_grids, st.class_quotients):
+        (r, _, order), rows = grid.shape, grid[:, None] * n + i  # (a, i, c, h) of A, (a, i, b, g) of A * B
+        cols = grid[:, :, q].transpose(0, 2, 1, 3)[:, :, None] * n + i  # grid[c, b, h^-1 g] at (c, h, j, b, g)
+        vals[rows] = (a[rows].reshape(r * n, -1) @ b[cols].reshape(r * order * n, -1)).reshape(r, n, r, order, n)
+    return from_groupoid(MatrixMap(st, n, GROUPOID, vals.reshape(-1, n, n)))
 
 
 # --- Choi matrix on the matrix-unit semigroup ------------------------------

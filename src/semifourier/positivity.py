@@ -101,15 +101,15 @@ def _natural_spectra(f: MatrixMap) -> list[tuple[int, np.ndarray]]:
 def _r_classes(st: InverseStructure, idempotents) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The R-classes {s : ran s = e} of these idempotents, stacked by size.
 
-    The R-class of e is the row of e in the padded ``groupoid_factors[0]``.
+    The R-class of e is the row of e in the padded ``groupoid_factors``.
     Returns, per size, the idempotents, the stack (k, size) of their
     R-classes and the stack (k, size, size) of the products s^-1 t within each.
     """
     idem = np.asarray(idempotents, dtype=np.intp)
-    rows = st.groupoid_factors[0][idem]
+    rows = st.groupoid_factors[idem]
     sizes = (rows != st.zero).sum(axis=1)
     out = []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # ascending
         m = rows[sizes == size, :size]
         out.append((idem[sizes == size], m, st.table.table[st.inv[m][:, :, None], m[:, None, :]]))
     return out
@@ -299,7 +299,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise WrongBasis("stinespring expects a groupoid-basis map")
     st = f.structure
     n, order, tab = f.dim, st.table.order, st.table.table
-    r_classes = st.groupoid_factors[0]
+    r_classes = st.groupoid_factors
     grams = _r_class_grams(f, st.base_idempotents)
     stacked = [np.linalg.eigh(hermitized(g)) for _, g in grams]
     ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [w for w, _ in stacked])
@@ -326,7 +326,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     dims[idem] = dims[st.dom[st.transversal_at[idem]]]   # d_e = d_{e_k}
     # pi_k(g) on every G_k, and 0 at z: left multiplication by g sends floor(t)
     # to floor(u) for u in R_{e_k} and t = g^-1 u; then pi(s) = pi_k(g(s))
-    groups = np.unique(st.group_coordinates)
+    groups = np.flatnonzero(np.bincount(st.group_coordinates, minlength=order))  # ascending
     t = tab[st.inv[groups][:, None], r_classes[groups]]
     rows = r_classes.shape[1] * n
     gathered = coords_at[r_classes[groups]].reshape(len(groups), rows, width).transpose(0, 2, 1)
@@ -578,7 +578,7 @@ def gram_pd_map(structure: InverseStructure, n: int, seed: int = 0) -> MatrixMap
     v_at = np.zeros((structure.table.order, n), dtype=complex)
     v_at[nz] = v
     # V^dagger L_s V sums conj(V[u]) V[t] over u in the R-class of s, t = s^-1 u
-    u = structure.groupoid_factors[0]
+    u = structure.groupoid_factors
     t = structure.table.table[structure.inv[:, None], u]
     vals = np.einsum("kma,kmb->kab", v_at[u].conj(), v_at[t])
     return MatrixMap(structure, n, GROUPOID, vals)

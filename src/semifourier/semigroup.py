@@ -327,24 +327,17 @@ class InverseStructure:
         return tuple(i for i in range(self.table.order) if i != self.zero)
 
     @cached_property
-    def groupoid_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index tables (left, right) of the groupoid factorizations of each k.
-
-        In the groupoid basis floor(s) floor(t) = floor(st) when dom(s) = ran(t)
-        and 0 otherwise, so floor(k) = floor(left[k, m]) floor(right[k, m]) for
-        exactly the m below: left[k] is the R-class of k (the t with
-        ran(t) = ran(k), ascending) and right[k, m] = left[k, m]^-1 k.  Rows
-        are padded with z to the widest R-class; the row of z is all z.
-        """
+    def groupoid_factors(self) -> np.ndarray:
+        """The padded R-class table: row k holds the t with ran(t) = ran(k), ascending,
+        padded with z to the widest R-class; the row of z is all z.  These are the s
+        with floor(k) = floor(s) floor(s^-1 k) in the groupoid basis."""
         n, ran = self.table.order, self.ran
         members = [np.flatnonzero(ran == e) for e in self.idempotents]
         left = np.full((n, max(map(len, members), default=0)), self.zero, dtype=np.intp)
         for e, row in zip(self.idempotents, members):
             left[ran == e, : len(row)] = row
-        right = self.table.table[self.inv[left], np.arange(n)[:, None]]
         left.setflags(write=False)
-        right.setflags(write=False)
-        return left, right
+        return left
 
     @cached_property
     def class_weights(self) -> np.ndarray:
@@ -378,6 +371,15 @@ class InverseStructure:
             grids[-1][np.searchsorted(es, self.ran[x]), np.searchsorted(es, self.dom[x]), g] = x
             grids[-1].setflags(write=False)
         return tuple(grids)
+
+    @cached_property
+    def class_quotients(self) -> tuple[np.ndarray, ...]:
+        """Per class k, q[h, g] = h^-1 g, with h and g indices along the g axis of
+        ``class_grids[k]``, that is into ``maximal_subgroup(e_k)``, ascending."""
+        quotients = tuple(g.table[g.inv] for g in (maximal_subgroup(self, e) for e in self.base_idempotents))
+        for q in quotients:
+            q.setflags(write=False)
+        return quotients
 
     @cached_property
     def leq_float(self) -> np.ndarray:
