@@ -327,6 +327,23 @@ def test_stinespring_report_at_the_size_cap_is_bounded(tmp_path, ref, dim):
         assert len(block) == rows and all(len(row) == cols for row in block)
 
 
+def test_positivity_verbs_leave_numpy_ma_unimported():
+    # np.unique without a return_* flag calls np.ma.is_masked, whose lazy
+    # import of numpy.ma costs 9-15 ms of a cold process
+    code = ("import io, sys, contextlib\n"
+            "from semifourier.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(['check', {str(SAMPLE_DATA / 'transpose_m2.json')!r}, '--which', mode])\n"
+            "             for mode in ('pd', 'bochner')]\n"
+            f"    codes.append(main(['stinespring', {str(SAMPLE_DATA / 'gram_i2_seed0.json')!r}]))\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+    pythonpath = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] False"
+
+
 def test_cpprobe_identity_rep(capsys):
     result = run_json(
         ["cpprobe", SAMPLE_DATA / "identity_rep_m2.json", "--trials", "40"], capsys

@@ -15,7 +15,9 @@ from semifourier.errors import (
     WrongSemigroup,
 )
 from semifourier.cxmat import psd_verdict
-from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, as_groupoid
+from semifourier.harmonic import (GROUPOID, NATURAL, MatrixMap, as_groupoid, fourier_transform_all, induced_irreps,
+                                  invert_to_map, plancherel_check)
+from semifourier.maps import convolve
 from semifourier.positivity import (
     PD_MODES,
     bochner_check,
@@ -38,8 +40,9 @@ from semifourier.positivity import (
     transpose_map,
     MatrixAlgebraRep,
 )
+from semifourier.semigroup import inverse_structure
 
-from conftest import dense_pi, get_irreps, get_structure
+from conftest import dense_pi, get_irreps, get_structure, inverse_subsemigroup
 
 
 # --- evaluation helpers ---------------------------------------------------------
@@ -210,8 +213,19 @@ SCALE_REFS = (
 )
 
 
-def scale_input(ref, kind, n, seed):
-    st = get_structure(ref)
+def scale_structure(data):
+    """A structure of SCALE_REFS or an inverse subsemigroup of I_2-I_4 on drawn generators, with its irreps."""
+    ref = data.draw(hst.sampled_from(SCALE_REFS + ("sub",)))
+    if ref != "sub":
+        return get_structure(ref), get_irreps(ref)
+    degree = data.draw(hst.integers(2, 4))
+    order = get_structure(f"builtin:symmetric_inverse:{degree}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=3))
+    st = inverse_structure(inverse_subsemigroup(degree, gens))
+    return st, induced_irreps(st)
+
+
+def scale_input(st, kind, n, seed):
     m = st.matrix_units_size
     if kind == "gram":
         return gram_pd_map(st, n, seed=seed)
@@ -222,10 +236,14 @@ def scale_input(ref, kind, n, seed):
     return random_map(st, n, seed=seed)
 
 
-def scaled_verdicts(f, ref, c):
+def scaled(f, c):
+    return MatrixMap(f.structure, f.dim, f.basis, c * f.values)
+
+
+def scaled_verdicts(f, reps, c):
     """Every verdict of c f: PD in each mode, Bochner, the dilation's dimension, CP."""
-    f = MatrixMap(f.structure, f.dim, f.basis, c * f.values)
-    report = bochner_check(f, get_irreps(ref))
+    f = scaled(f, c)
+    report = bochner_check(f, reps)
     try:
         dim = stinespring(as_groupoid(f)).dim
     except NotPositiveDefinite:
@@ -237,15 +255,36 @@ def scaled_verdicts(f, ref, c):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ref=hst.sampled_from(SCALE_REFS),
+    data=hst.data(),
     kind=hst.sampled_from(["random", "gram", "kraus", "transpose"]),
     n=hst.integers(1, 2),
     seed=hst.integers(0, 99),
     exponent=hst.floats(-12.0, 12.0),
 )
-def test_verdicts_do_not_change_with_scale(ref, kind, n, seed, exponent):
-    f = scale_input(ref, kind, n, seed)
-    assert scaled_verdicts(f, ref, 10.0**exponent) == scaled_verdicts(f, ref, 1.0)
+def test_verdicts_do_not_change_with_scale(data, kind, n, seed, exponent):
+    st, reps = scale_structure(data)
+    f = scale_input(st, kind, n, seed)
+    assert scaled_verdicts(f, reps, 10.0**exponent) == scaled_verdicts(f, reps, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 2), seed=hst.integers(0, 99), exponent=hst.floats(-12.0, 12.0))
+def test_residuals_over_the_map_scale_stay_within_the_acceptance_tolerances(data, n, seed, exponent):
+    # the acceptance criteria pin inversion, convolution and Plancherel at 1e-9 and
+    # the Stinespring reconstruction at 1e-8 on unit-scale maps; c f meets them
+    # once each residual is divided by the scale of the maps it is made of
+    st, reps = scale_structure(data)
+    c = 10.0**exponent
+    f, g = (scaled(random_map(st, n, seed=seed + i), c) for i in (0, 1))
+    sf, sg = (np.abs(x.values).max() for x in (f, g))
+    ft_f, ft_g = (fourier_transform_all(x, reps) for x in (f, g))
+    assert np.abs(invert_to_map(ft_f).values - as_groupoid(f).values).max() <= 1e-9 * sf
+    ft_conv = fourier_transform_all(convolve(f, g), reps)
+    for t, a, b in zip(ft_conv.transforms, ft_f.transforms, ft_g.transforms):
+        assert np.linalg.norm(t.matrix - a.matrix @ b.matrix) <= 1e-9 * sf * sg
+    assert plancherel_check(f, g, reps)[2] <= 1e-9 * sf * sg
+    gram = scaled(gram_pd_map(st, n, seed=seed), c)
+    assert stinespring(gram).reconstruction_residual <= 1e-8 * np.abs(gram.values).max()
 
 
 # --- stinespring ---------------------------------------------------------------------
