@@ -83,6 +83,8 @@ def map_fields(obj: dict, base_dir: Path | None = None) -> tuple[SemigroupTable,
     """The semigroup table, target dim, basis tag and values of a map object, parsed only."""
     table = resolve_semigroup(obj["semigroup"], base_dir)
     n = int(obj["target_dim"])
+    if n < 1:
+        raise ValueError(f"target_dim must be >= 1, got {n}")
     vals = np.zeros((table.order, n, n), dtype=complex)
     for name, rows in obj["values"].items():
         vals[table.index_of(name)] = matrix_from_json(rows)
@@ -120,6 +122,8 @@ def rep_to_json(rho: MatrixAlgebraRep) -> dict:
 def rep_from_json(obj: dict) -> MatrixAlgebraRep:
     m = int(obj["source_dim"])
     d = int(obj["rep_dim"])
+    if min(m, d) < 1:
+        raise ValueError(f"source_dim and rep_dim must be >= 1, got {m} and {d}")
     mats = np.zeros((m, m, d, d), dtype=complex)
     for i in range(m):
         for j in range(m):

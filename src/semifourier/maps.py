@@ -36,16 +36,17 @@ def convolve(f1: MatrixMap, f2: MatrixMap) -> MatrixMap:
     On the grid of each D-class the groupoid values form A in M_r(C[G]), and
     (A * B)[a, b](g) = sum_c sum_h A[a, c](h) B[c, b](h^-1 g): one
     (r n, r |G| n) . (r |G| n, r |G| n) product, with B gathered at
-    grid[c, b, h^-1 g].  Mobius inversion brings the product back.
+    grid[c, b, h^-1 g], read from ``class_products``.  Mobius inversion brings
+    the product back.
     """
     check_same_semigroup(f1, f2)
     st, n = f1.structure, f1.dim
     # row x n + i of these (|S| n, n) views is row i of the value at x
     a, b = (as_groupoid(f).values.reshape(-1, n) for f in (f1, f2))
     vals, i = np.zeros_like(a), np.arange(n)[:, None, None]
-    for grid, q in zip(st.class_grids, st.class_quotients):
+    for grid, prod in zip(st.class_grids, st.class_products):
         (r, _, order), rows = grid.shape, grid[:, None] * n + i  # (a, i, c, h) of A, (a, i, b, g) of A * B
-        cols = grid[:, :, q].transpose(0, 2, 1, 3)[:, :, None] * n + i  # grid[c, b, h^-1 g] at (c, h, j, b, g)
+        cols = prod[:, :, None] * n + i  # grid[c, b, h^-1 g] at (c, h, j, b, g)
         vals[rows] = (a[rows].reshape(r * n, -1) @ b[cols].reshape(r * order * n, -1)).reshape(r, n, r, order, n)
     return from_groupoid(MatrixMap(st, n, GROUPOID, vals.reshape(-1, n, n)))
 

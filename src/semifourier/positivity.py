@@ -75,20 +75,23 @@ def _natural_spectra(f: MatrixMap) -> list[tuple[int, np.ndarray]]:
     form is the union of the block spectra, each repeated d_rho times.  Since
     N = zeta^T G zeta (x) I_n with G the groupoid matrix, block diagonal over
     the R-classes, the rho-block is sum_e W_rho[R_e]^dagger G_e W_rho[R_e]
-    with W_rho from ``unit_isotypic_lifts``, one R-class at a time so that
-    no more than one G_e is gathered at once.  Only the blocks are Hermitized.
+    with W_rho from ``unit_isotypic_lifts``.  The R-classes of a D-class are
+    the rows grid[a] of its grid and share one G_e (``_class_grams``), so G_e
+    is gathered once per D-class and only the rows W_rho[grid[a]] change.
+    Only the blocks are Hermitized.
     """
     st, n = f.structure, f.dim
     lifts = st.unit_isotypic_lifts
     vals, ij = eval_groupoid(f), np.arange(n)
     sums = [0.0] * len(lifts)                                   # (m_rho, n n m_rho) each
-    for _, stack, products in _r_classes(st, st.idempotents):
-        for members, prod in zip(stack, products):
-            # G_e[(a, i), (b, j)] laid out as (size * n * n, size), b last
-            g = vals[prod[:, None, None, :], ij[:, None, None], ij[:, None]].reshape(-1, len(members))
+    for grid, prod in zip(st.class_grids, st.class_products):
+        size = grid[0].size
+        # G_e[((b, h), i), ((c, g), j)] laid out as (size * n * n, size), (c, g) last
+        g = vals[prod.reshape(size, 1, 1, size), ij[:, None, None], ij[:, None]].reshape(-1, size)
+        for members in grid.reshape(-1, size):
             for i, (_, w) in enumerate(lifts):
                 w = w[members]                                  # W_rho[R_e]: (size, m_rho)
-                right = (g @ w).reshape(len(members), -1)       # G_e W_rho[R_e], rows a
+                right = (g @ w).reshape(size, -1)               # G_e W_rho[R_e], rows (b, h)
                 sums[i] += w.conj().T @ right
     out = []
     for d, w in lifts:  # each sum is dropped once its block is formed
@@ -98,34 +101,17 @@ def _natural_spectra(f: MatrixMap) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-def _r_classes(st: InverseStructure, idempotents) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The R-classes {s : ran s = e} of these idempotents, stacked by size.
-
-    The R-class of e is the row of e in the padded ``groupoid_factors``.
-    Returns, per size, the idempotents, the stack (k, size) of their
-    R-classes and the stack (k, size, size) of the products s^-1 t within each.
-    """
-    idem = np.asarray(idempotents, dtype=np.intp)
-    rows = st.groupoid_factors[idem]
-    sizes = (rows != st.zero).sum(axis=1)
-    out = []
-    for size in np.flatnonzero(np.bincount(sizes)):  # ascending
-        m = rows[sizes == size, :size]
-        out.append((idem[sizes == size], m, st.table.table[st.inv[m][:, :, None], m[:, None, :]]))
-    return out
-
-
-def _r_class_grams(f: MatrixMap, idempotents) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks [Lambda(floor(s^-1) floor(t))] over the R-classes {s : ran s = e}.
+def _class_grams(f: MatrixMap) -> list[np.ndarray]:
+    """Per D-class, the block [Lambda(floor(s^-1) floor(t))] over one of its R-classes.
 
     floor(s^-1) floor(t) = floor(s^-1 t) if ran s = ran t and 0 otherwise, so
-    the groupoid PD matrix is block diagonal over these R-classes; the classes
-    of one size are gathered in one stack.  Returns, per size, the idempotents
-    and the stack (len(idempotents), size * n, size * n) of their blocks.
+    the groupoid PD matrix is block diagonal over the R-classes {s : ran s = e},
+    the rows grid[a] of each class's grid.  s^-1 t is ``class_products[k]``
+    whatever a is, so one block, over s = grid[a, b, h] in (b, h) order, is
+    that of every R-class of the class.
     """
     vals = eval_groupoid(f)
-    return [(es, block_matrix(vals, products))
-            for es, _, products in _r_classes(f.structure, idempotents)]
+    return [block_matrix(vals, p.reshape(p.shape[0] * p.shape[1], -1)) for p in f.structure.class_products]
 
 
 @dataclass(frozen=True)
@@ -158,13 +144,14 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
     the natural order is discrete, floor(s) = s and N is the groupoid
     matrix, so it is judged as in groupoid mode.
     groupoid: PSD test of [Lambda(floor(s^-1) floor(s'))].  That matrix is
-    block diagonal over the R-classes {s : ran s = e}, and the R-blocks of
-    one D-class are one matrix up to a permutation, since s -> p s keeps
-    s^-1 s'; so each class is judged by the R-block of its base idempotent
-    alone.  The verdict and defect are those of the whole matrix, and the
-    witness is its min eigenvalue up to rounding.
+    block diagonal over the R-classes {s : ran s = e}, the rows grid[a] of
+    each D-class's grid, and in grid order every R-block of one class is the
+    same matrix, since s^-1 s' = p_b h^-1 g p_c^-1 whatever a is; so each
+    class is judged by one block (``_class_grams``).  The verdict and defect
+    are those of the whole matrix, and the witness is its min eigenvalue up
+    to rounding.
     blocks: the groupoid matrix restricted to each D-class separately (it is
-    block diagonal across classes), from the same base R-blocks.
+    block diagonal across classes), from the same class blocks.
     """
     if mode not in PD_MODES:
         raise UnknownMode(f"unknown pd mode {mode!r}")
@@ -175,23 +162,16 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
         vals = eval_natural(f)
         spectra = [w for _, w in _natural_spectra(f)]
         return PDSlice(mode, *psd_verdict([vals], tol, spectra, mirrors=[vals[st.inv]]))
-    # s -> p_e s maps the R-class of a class's base idempotent onto that of
-    # its idempotent e and keeps s^-1 t: one R-block stands for the class
-    grams = _r_class_grams(f, st.base_idempotents)
-    spectra = [np.linalg.eigvalsh(hermitized(g)) for _, g in grams]
+    grams = _class_grams(f)
+    spectra = [np.linalg.eigvalsh(hermitized(g)) for g in grams]
     if mode != "blocks":
-        return PDSlice(mode, *psd_verdict([g for _, g in grams], tol, spectra))
-    per = []
-    worst_defect = norm = 0.0
-    for (es, stack), ws in zip(grams, spectra):
-        for e, g, w in zip(es, stack, ws):
-            ok, lo, defect, norm2 = psd_verdict([g], tol, [w])
-            per.append((int(st.class_of[e]), ok, lo))
-            worst_defect, norm = max(worst_defect, defect), max(norm, norm2)
-    per.sort()
-    verdict = all(ok for _, ok, _ in per)
-    worst = min((lo for _, _, lo in per), default=np.inf)
-    return PDSlice(mode, verdict, float(worst), worst_defect, norm, tuple(per))
+        return PDSlice(mode, *psd_verdict(grams, tol, spectra))
+    per = [psd_verdict([g], tol, [w]) for g, w in zip(grams, spectra)]  # one per class, in class order
+    verdict = all(ok for ok, _, _, _ in per)
+    worst = min((lo for _, lo, _, _ in per), default=np.inf)
+    worst_defect, norm = (max((p[i] for p in per), default=0.0) for i in (2, 3))
+    return PDSlice(mode, verdict, float(worst), worst_defect, norm,
+                   tuple((k, ok, lo) for k, (ok, lo, _, _) in enumerate(per)))
 
 
 # --- Bochner ----------------------------------------------------------------
@@ -259,8 +239,8 @@ class Dilation:
     idempotents e, in ascending order of e; H_e has dimension dims[e] and
     starts at offsets[e].  pi(s) sends H_dom(s) to H_ran(s) and kills every
     other summand, so only that block is stored, in a stack zero-padded to
-    the widest summand: ``block(s)``.  Each element holds the block of its
-    group coordinate, since pi(p_a g p_b^-1) = pi_k(g).
+    the widest summand: ``block(s)``.  The element at grid[a, b, g] of a
+    class's grid holds pi_k(g), since pi(p_a g p_b^-1) = pi_k(g).
     """
 
     structure: InverseStructure = field(repr=False)
@@ -286,11 +266,12 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     The Gram matrix of the sesquilinear form is block diagonal over the
     ran-idempotents, since floor(s^-1) floor(t) = 0 unless ran(s) = ran(t).
     The block G_e is over the R-class {s : ran(s) = e}; eigenpairs above
-    tol * ||G||_2 span the summand H_e of the quotient.  Only the block of
-    each D-class's base idempotent e_k is eigendecomposed: s -> p_e s maps
-    its R-class onto that of e and keeps s^-1 t, so H_e is a copy of H_{e_k}.
+    tol * ||G||_2 span the summand H_e of the quotient.  The R-classes of a
+    D-class share one block (``_class_grams``), so one eigendecomposition per
+    class spans H_{e_k} over its base R-class grid[0], and H_e is a copy of it.
     pi is induced from the maximal subgroups (Steinberg 2006):
-    pi(p_a g p_b^-1) = pi_k(g) = sum over u in R_{e_k} of coords(u) (x) lift(g^-1 u).
+    pi(p_a g p_b^-1) = pi_k(g) = sum over u in R_{e_k} of coords(u) (x) lift(g^-1 u),
+    with g^-1 u read at ``class_products[k][0, g]``.
     V is the class of (identity (x) x); its H_e part is the coordinate map of
     floor(e) = p_e floor(p_e^-1), read at p_e^-1.  All invariants are verified
     a posteriori on the blocks and their residuals recorded.
@@ -299,51 +280,43 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise WrongBasis("stinespring expects a groupoid-basis map")
     st = f.structure
     n, order, tab = f.dim, st.table.order, st.table.table
-    r_classes = st.groupoid_factors
-    grams = _r_class_grams(f, st.base_idempotents)
-    stacked = [np.linalg.eigh(hermitized(g)) for _, g in grams]
-    ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [w for w, _ in stacked])
+    grams = _class_grams(f)
+    stacked = [np.linalg.eigh(hermitized(g)) for g in grams]
+    ok, lo, defect, norm2 = psd_verdict(grams, tol, [w for w, _ in stacked])
     if not ok:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
     keeps = [w > bound(tol, norm2) for w, _ in stacked]
-    width = max((int(k.sum(axis=1).max()) for k in keeps), default=0)
+    width = max((int(k.sum()) for k in keeps), default=0)
 
     # per element u of a base R-class and coordinate i, the coordinates of
     # [floor(u) (x) x_i] in H_ran(u), and the representatives of the basis of
     # H_ran(u) at u, both padded to the widest summand and zero elsewhere
-    dims = np.zeros(order, dtype=int)                    # d_e at each idempotent e
     coords_at = np.zeros((order, n, width), dtype=complex)
     lift_at = np.zeros((order, n, width), dtype=complex)
-    for (es, _), (w, u), ks in zip(grams, stacked, keeps):
-        for e, we, ue, keep in zip(es, w, u, ks):
-            m, d = r_classes[e][r_classes[e] != st.zero], int(keep.sum())
-            dims[e] = d
-            coords_at[m, :, :d] = (np.sqrt(we[keep])[None, :] * ue[:, keep].conj()).reshape(len(m), n, d)
-            lift_at[m, :, :d] = (ue[:, keep] / np.sqrt(we[keep])[None, :]).reshape(len(m), n, d)
+    blocks = np.zeros((order, width, width), dtype=complex)
+    star = mult = 0.0
+    for grid, prod, (w, u), keep in zip(st.class_grids, st.class_products, stacked, keeps):
+        m, group, d = grid[0].ravel(), grid[0, 0], int(keep.sum())
+        coords_at[m, :, :d] = (np.sqrt(w[keep])[None, :] * u[:, keep].conj()).reshape(len(m), n, d)
+        lift_at[m, :, :d] = (u[:, keep] / np.sqrt(w[keep])[None, :]).reshape(len(m), n, d)
+        # pi_k(g) on G_k: left multiplication by g sends floor(t) to floor(u) for
+        # u = grid[0, c, h] and t = g^-1 u = prod[0, g, c, h]; then pi(grid[a, b, g]) = pi_k(g)
+        rows = len(m) * n
+        blocks[grid] = coords_at[m].reshape(rows, width).T @ lift_at[prod[0]].reshape(len(group), rows, width)
+        # g(s^-1) = g(s)^-1, and pi(s) pi(t) is the zero block unless dom(s) = ran(t),
+        # when it is pi_k(g(s) g(t)): so star and multiplicativity are checked on each G_k
+        star = max(star, float(np.abs(blocks[group].conj().transpose(0, 2, 1) - blocks[st.inv[group]]).max(initial=0.0)))
+        for x in group:
+            mult = max(mult, float(np.abs(blocks[x, :, :d] @ blocks[group, :d, :] - blocks[tab[x, group]]).max(initial=0.0)))
     idem = np.array(st.idempotents, dtype=np.intp)
-    dims[idem] = dims[st.dom[st.transversal_at[idem]]]   # d_e = d_{e_k}
-    # pi_k(g) on every G_k, and 0 at z: left multiplication by g sends floor(t)
-    # to floor(u) for u in R_{e_k} and t = g^-1 u; then pi(s) = pi_k(g(s))
-    groups = np.flatnonzero(np.bincount(st.group_coordinates, minlength=order))  # ascending
-    t = tab[st.inv[groups][:, None], r_classes[groups]]
-    rows = r_classes.shape[1] * n
-    gathered = coords_at[r_classes[groups]].reshape(len(groups), rows, width).transpose(0, 2, 1)
-    pi_g = gathered @ lift_at[t].reshape(len(groups), rows, width)
-    blocks = pi_g[np.searchsorted(groups, st.group_coordinates)]
+    dims = np.zeros(order, dtype=int)                    # d_e = d_{e_k} at each idempotent e
+    dims[idem] = np.array([int(k.sum()) for k in keeps], dtype=int)[st.class_of[idem]]
     v_at = coords_at[st.inv[st.transversal_at]].transpose(0, 2, 1)  # H_e part of V at e, else 0
 
     got = v_at[st.ran].conj().transpose(0, 2, 1) @ blocks @ v_at[st.dom]
     recon = float(np.abs(got - f.values).max())
-    # g(s^-1) = g(s)^-1, and pi(s) pi(t) is the zero block unless dom(s) = ran(t),
-    # when it is pi_k(g(s) g(t)): so star and multiplicativity are checked on each G_k
-    star = float(np.abs(pi_g.conj().transpose(0, 2, 1) - blocks[st.inv[groups]]).max(initial=0.0))
-    mult = 0.0
-    for x in groups[groups != st.zero]:
-        g, d = groups[st.dom[groups] == st.dom[x]], dims[st.dom[x]]
-        prod = blocks[x, :, :d] @ blocks[g, :d, :] - blocks[tab[x, g]]
-        mult = max(mult, float(np.abs(prod).max(initial=0.0)))
 
     # V on the summands at their offsets, in ascending order of e
     offsets = np.cumsum(dims) - dims
@@ -577,10 +550,12 @@ def gram_pd_map(structure: InverseStructure, n: int, seed: int = 0) -> MatrixMap
     v = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
     v_at = np.zeros((structure.table.order, n), dtype=complex)
     v_at[nz] = v
-    # V^dagger L_s V sums conj(V[u]) V[t] over u in the R-class of s, t = s^-1 u
-    u = structure.groupoid_factors
-    t = structure.table.table[structure.inv[:, None], u]
-    vals = np.einsum("kma,kmb->kab", v_at[u].conj(), v_at[t])
+    # V^dagger L_s V sums conj(V[u]) V[t] over u in the R-class of s, t = s^-1 u:
+    # at s = grid[a, b, g], u = grid[a, c, h] and t = prod[b, g, c, h]
+    vals = np.zeros((structure.table.order, n, n), dtype=complex)
+    for grid, prod in zip(structure.class_grids, structure.class_products):
+        u, t = v_at[grid.reshape(len(grid), -1)], v_at[prod.reshape(grid[0].size, -1)]
+        vals[grid] = np.einsum("ami,pmj->apij", u.conj(), t).reshape(grid.shape + (n, n))
     return MatrixMap(structure, n, GROUPOID, vals)
 
 

@@ -327,19 +327,6 @@ class InverseStructure:
         return tuple(i for i in range(self.table.order) if i != self.zero)
 
     @cached_property
-    def groupoid_factors(self) -> np.ndarray:
-        """The padded R-class table: row k holds the t with ran(t) = ran(k), ascending,
-        padded with z to the widest R-class; the row of z is all z.  These are the s
-        with floor(k) = floor(s) floor(s^-1 k) in the groupoid basis."""
-        n, ran = self.table.order, self.ran
-        members = [np.flatnonzero(ran == e) for e in self.idempotents]
-        left = np.full((n, max(map(len, members), default=0)), self.zero, dtype=np.intp)
-        for e, row in zip(self.idempotents, members):
-            left[ran == e, : len(row)] = row
-        left.setflags(write=False)
-        return left
-
-    @cached_property
     def class_weights(self) -> np.ndarray:
         """r_k |G_k| = |D_k| / r_k per class k, exactly, since |D_k| = r_k^2 |G_k|.
 
@@ -373,13 +360,16 @@ class InverseStructure:
         return tuple(grids)
 
     @cached_property
-    def class_quotients(self) -> tuple[np.ndarray, ...]:
-        """Per class k, q[h, g] = h^-1 g, with h and g indices along the g axis of
-        ``class_grids[k]``, that is into ``maximal_subgroup(e_k)``, ascending."""
-        quotients = tuple(g.table[g.inv] for g in (maximal_subgroup(self, e) for e in self.base_idempotents))
-        for q in quotients:
-            q.setflags(write=False)
-        return quotients
+    def class_products(self) -> tuple[np.ndarray, ...]:
+        """Per class k, prod[b, h, c, g] = grid[b, c, h^-1 g] with grid = ``class_grids[k]``:
+        s^-1 t for s = grid[a, b, h] and t = grid[a, c, g], the same for every R-class a.
+        Built on first use from ``maximal_subgroup(e_k)``, whose ascending order is the g axis."""
+        products = []
+        for grid, e in zip(self.class_grids, self.base_idempotents):
+            group = maximal_subgroup(self, e)
+            products.append(np.ascontiguousarray(grid[:, :, group.table[group.inv]].transpose(0, 2, 1, 3)))
+            products[-1].setflags(write=False)
+        return tuple(products)
 
     @cached_property
     def leq_float(self) -> np.ndarray:

@@ -175,6 +175,32 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, edit):
     assert "error" in json.loads(err)
 
 
+MAP_VERBS = [["fourier"], ["invert"], ["plancherel", "{map}"], ["convolve", "{map}"], ["check", "--which", "pd"],
+             ["check", "--which", "cp"], ["check", "--which", "bochner"], ["stinespring"]]
+
+
+@pytest.mark.parametrize("verb", MAP_VERBS, ids=lambda v: "-".join(v).replace("{map}", "map"))
+def test_zero_target_dim_is_a_parse_error(tmp_path, capsys, verb):
+    # a map into M_0 has no entries; it is refused while parsing, before any verb runs on it
+    obj = dict(json.loads((SAMPLE_DATA / "gram_i2_seed0.json").read_text()), target_dim=0, values={})
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([verb[0], path, *(str(path) if a == "{map}" else a for a in verb[1:])], capsys)
+    error = json.loads(err)["error"]
+    assert (code, out) == (2, "") and "target_dim" in error["message"] and "frames" not in error
+
+
+@pytest.mark.parametrize("dims", [{"rep_dim": 0}, {"source_dim": 0}, {"source_dim": 0, "rep_dim": 0}])
+def test_zero_rep_dims_are_a_parse_error(tmp_path, capsys, dims):
+    obj = dict(json.loads((SAMPLE_DATA / "identity_rep_m2.json").read_text()), **dims)
+    obj["matrices"] = {name: [] for name in obj["matrices"]}
+    path = tmp_path / "zero_rep.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["cpprobe", path, "--trials", "4"], capsys)
+    error = json.loads(err)["error"]
+    assert (code, out) == (2, "") and "dim" in error["message"] and "frames" not in error
+
+
 def test_invert_roundtrip_residual(capsys):
     result = run_json(["invert", SAMPLE_DATA / "random_i2_seed0.json"], capsys)["result"]
     assert result["roundtrip_residual"] <= 1e-9

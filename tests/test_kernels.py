@@ -60,8 +60,8 @@ from semifourier import positivity
 from semifourier.positivity import (
     Dilation,
     MatrixAlgebraRep,
+    _class_grams,
     _natural_spectra,
-    _r_class_grams,
     bochner_check,
     conjugation_rep,
     direct_sum_rep,
@@ -164,6 +164,32 @@ def pd_matrix_groupoid(f, elements):
     return block_matrix(eval_groupoid(f), idx)
 
 
+def oracle_r_class_table(st):
+    """The padded R-class table: row k holds the t with ran(t) = ran(k), ascending,
+    padded with z to the widest R-class; the row of z is all z."""
+    members = [np.flatnonzero(st.ran == e) for e in st.idempotents]
+    table = np.full((st.table.order, max(map(len, members), default=0)), st.zero, dtype=np.intp)
+    for e, row in zip(st.idempotents, members):
+        table[st.ran == e, : len(row)] = row
+    return table
+
+
+def oracle_r_class_grams(f, idempotents):
+    """The blocks [Lambda(floor(s^-1) floor(t))] over the R-classes {s : ran s = e} of
+    these idempotents, members ascending, stacked by size: per size, the idempotents
+    and the stack (len(idempotents), size * n, size * n) of their blocks."""
+    st = f.structure
+    idem = np.asarray(idempotents, dtype=np.intp)
+    rows = oracle_r_class_table(st)[idem]
+    sizes = (rows != st.zero).sum(axis=1)
+    out = []
+    for size in np.flatnonzero(np.bincount(sizes)):  # ascending
+        m = rows[sizes == size, :size]
+        out.append((idem[sizes == size],
+                    block_matrix(eval_groupoid(f), st.table.table[st.inv[m][:, :, None], m[:, None, :]])))
+    return out
+
+
 def oracle_verdict(mat, tol=DEFAULT_TOL):
     """(verdict, min eigenvalue, hermitian defect, ||.||_2) of one dense matrix, one eigvalsh."""
     if not mat.size:
@@ -226,7 +252,7 @@ def oracle_stinespring(f, tol=DEFAULT_TOL):
     lift_at = np.zeros((order, n, dim), dtype=complex)
     lift_at[nz] = lift.reshape(len(nz), n, dim)
     pi = np.zeros((order, dim, dim), dtype=complex)
-    r_classes = st.groupoid_factors
+    r_classes = oracle_r_class_table(st)
     for s in nz:
         u = r_classes[s]
         t = st.table.table[st.inv[s], u]
@@ -282,7 +308,7 @@ def oracle_padded_convolve(f1, f2):
     """The padded R-class kernel: floor(k) = floor(s) floor(s^-1 k) summed over the
     R-class of k, one einsum over the (left, right) factor tables of every k."""
     st = f1.structure
-    left = st.groupoid_factors
+    left = oracle_r_class_table(st)
     right = st.table.table[st.inv[left], np.arange(st.table.order)[:, None]]
     a, b = as_groupoid(f1).values, as_groupoid(f2).values
     vals = np.einsum("kmab,kmbc->kac", a[left], b[right])
@@ -309,6 +335,31 @@ def test_grid_convolve_matches_the_padded_table_kernel(ref, n):
     f, g = random_map(st, n, 6), random_map(st, n, 7, GROUPOID)
     assert_close(convolve(f, g).values, oracle_padded_convolve(f, g))
     assert_close(convolve(g, f).values, oracle_padded_convolve(g, f))
+
+
+def assert_class_products_are_the_r_class_quotients(st):
+    tab = st.table.table
+    assert len(st.class_products) == len(st.dclasses)
+    for grid, prod in zip(st.class_grids, st.class_products):
+        (r, _, order), size = grid.shape, grid[0].size
+        assert prod.shape == (r, order, r, order)
+        # s^-1 t for s = grid[a, b, h] and t = grid[a, c, g]: one table for every R-class a
+        for m in grid.reshape(r, size):
+            assert np.array_equal(prod.reshape(size, size), tab[st.inv[m][:, None], m[None, :]])
+
+
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4", "builtin:matrix_units:14")
+                         + GRID_SUBSEMIGROUPS)
+def test_class_products_are_the_r_class_quotients(ref):
+    assert_class_products_are_the_r_class_quotients(grid_structure(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), degree=hst.integers(1, 4))
+def test_class_products_are_the_r_class_quotients_on_inverse_subsemigroups(data, degree):
+    order = get_structure(f"builtin:symmetric_inverse:{degree}").table.order
+    gens = data.draw(hst.lists(hst.integers(1, order - 1), min_size=1, max_size=4))
+    assert_class_products_are_the_r_class_quotients(inverse_structure(inverse_subsemigroup(degree, gens)))
 
 
 def oracle_left_regular(st, a):
@@ -355,8 +406,14 @@ def test_pd_matrices_equal_loop_assembly_bitwise(ref, n, basis):
 def test_r_class_grams_are_the_diagonal_blocks_bitwise(ref, n, basis):
     st = get_structure(ref)
     f = random_map(st, n, 5, basis)
+    grams = _class_grams(f)
+    assert len(grams) == len(st.dclasses)
+    for grid, g in zip(st.class_grids, grams):
+        # every R-class grid[a] of the class, in grid order, has the class's one block
+        for members in grid.reshape(len(grid), -1):
+            assert np.array_equal(g, oracle_pd_groupoid(st, eval_groupoid(f), members))
     seen = []
-    for es, grams in _r_class_grams(f, st.idempotents):
+    for es, grams in oracle_r_class_grams(f, st.idempotents):
         for e, g in zip(es, grams):
             r_class = np.flatnonzero(st.ran == e)
             assert np.array_equal(g, oracle_pd_groupoid(st, eval_groupoid(f), r_class))
@@ -411,12 +468,14 @@ def test_r_blocks_of_a_dclass_share_the_base_spectrum(ref, n, seed, basis):
     st = get_structure(ref)
     f = random_map(st, n, seed, basis)
     block_at = {}
-    for es, grams in _r_class_grams(f, st.idempotents):
+    for es, grams in oracle_r_class_grams(f, st.idempotents):
         block_at.update(zip(es.tolist(), grams))
     # the R-classes partition the nonzero elements
     assert sum(len(g) for g in block_at.values()) == len(st.nonzero) * n
-    for k, base in enumerate(st.base_idempotents):
+    for k, (base, g) in enumerate(zip(st.base_idempotents, _class_grams(f))):
         spectrum = np.linalg.eigvalsh(hermitized(block_at[base]))
+        assert np.array_equal(np.sort(g, axis=None), np.sort(block_at[base], axis=None))
+        assert_close(np.linalg.eigvalsh(hermitized(g)), spectrum)
         for e in st.class_idempotents(k):
             g = block_at[e]
             # s -> p s keeps s^-1 t: the same entries, permuted
@@ -449,6 +508,25 @@ def test_matrix_units_table_is_the_unit_rule(m):
 def test_gram_pd_map_matches_dense_left_multiplication(ref, n):
     st = get_structure(ref)
     assert_close(gram_pd_map(st, n, seed=7).values, oracle_gram_pd_map(st, n, 7))
+
+
+def oracle_padded_gram_pd_map(st, n, seed):
+    """The padded R-class einsum: conj(V[u]) V[s^-1 u] summed over the row of s in the
+    padded R-class table, one einsum over every s."""
+    rng = np.random.default_rng([seed, st.table.order, n, 13])
+    p = len(st.nonzero)
+    v_at = np.zeros((st.table.order, n), dtype=complex)
+    v_at[list(st.nonzero)] = (rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))) / np.sqrt(2.0)
+    u = oracle_r_class_table(st)
+    t = st.table.table[st.inv[:, None], u]
+    return np.einsum("kma,kmb->kab", v_at[u].conj(), v_at[t])
+
+
+@pytest.mark.parametrize("ref,n", CASES + [("builtin:symmetric_inverse:4", 4), ("builtin:matrix_units:14", 2)]
+                         + [(ref, n) for ref in GRID_SUBSEMIGROUPS for n in (1, 2)])
+def test_gram_pd_map_matches_the_padded_table_einsum(ref, n):
+    st = grid_structure(ref)
+    assert_close(gram_pd_map(st, n, seed=5).values, oracle_padded_gram_pd_map(st, n, 5))
 
 
 # --- basis changes ------------------------------------------------------------------
@@ -536,7 +614,7 @@ def all_r_class_oracle(f, tol=DEFAULT_TOL):
     """
     st = f.structure
     block_at = {}
-    for es, grams in _r_class_grams(f, st.idempotents):
+    for es, grams in oracle_r_class_grams(f, st.idempotents):
         block_at.update(zip(es.tolist(), grams))
     spectrum = {e: np.linalg.eigvalsh(hermitized(g)) for e, g in block_at.items()}
     whole = psd_verdict(list(block_at.values()), tol, list(spectrum.values()))
@@ -617,7 +695,7 @@ def oracle_block_multiplicativity(st, blocks, dims):
     """max |pi(s) pi(t) - pi(st)| over every pair with dom(s) = ran(t), one middle
     idempotent e at a time; every other product is the zero block by construction."""
     mult = 0.0
-    r_classes, tab = st.groupoid_factors, st.table.table
+    r_classes, tab = oracle_r_class_table(st), st.table.table
     for e in st.idempotents:
         m, d = r_classes[e][r_classes[e] != st.zero], dims[e]
         left = np.flatnonzero(st.dom == e)
@@ -641,8 +719,8 @@ def oracle_transport_stinespring(f, tol=DEFAULT_TOL):
         raise WrongBasis("stinespring expects a groupoid-basis map")
     st = f.structure
     n, order, tab = f.dim, st.table.order, st.table.table
-    r_classes = st.groupoid_factors
-    grams = _r_class_grams(f, st.base_idempotents)
+    r_classes = oracle_r_class_table(st)
+    grams = oracle_r_class_grams(f, st.base_idempotents)
     stacked = [np.linalg.eigh(hermitized(g)) for _, g in grams]
     ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [w for w, _ in stacked])
     if not ok:
@@ -776,7 +854,7 @@ def test_stinespring_allocates_no_dense_pi_until_read():
     # a dense (|S|, dim, dim) pi would take 209 * 208^2 * 16 bytes = 145 MB at I_4
     st = get_structure("builtin:symmetric_inverse:4")
     f = gram_pd_map(st, 2, seed=0)
-    st.groupoid_factors  # cached set-up, not part of the dilation
+    st.class_products  # cached set-up, not part of the dilation
     tracemalloc.start()
     try:
         dil = stinespring(f)
@@ -982,15 +1060,14 @@ def test_group_pd_matrix_equals_loop_assembly_bitwise(group, n):
     rng = np.random.default_rng([group.order, n, 41])
     vals = rng.standard_normal((group.order, n, n)) + 1j * rng.standard_normal((group.order, n, n))
     st = group_with_zero(group)
-    (es, stack), = _r_class_grams(padded_map(st, vals), st.base_idempotents)
-    members = st.groupoid_factors[es[0]]
-    members = members[members != st.zero]
+    (gram,) = _class_grams(padded_map(st, vals))
+    members = st.class_grids[0].ravel()
     assert sorted(members.tolist()) == list(range(group.order))
     want = np.zeros((group.order * n, group.order * n), dtype=complex)
     for a, g in enumerate(members):
         for b, h in enumerate(members):
             want[a * n : (a + 1) * n, b * n : (b + 1) * n] = vals[group.mul(int(group.inv[g]), int(h))]
-    assert np.array_equal(stack[0], want)
+    assert np.array_equal(gram, want)
 
 
 # --- structure setup ------------------------------------------------------------------
@@ -1626,7 +1703,7 @@ def test_the_spine_never_builds_the_dense_induced_matrices():
 
 
 def traced_peak(run) -> int:
-    run()  # cached set-up (groupoid factors, isotypic lifts) is not part of the op
+    run()  # cached set-up (class products, isotypic lifts) is not part of the op
     tracemalloc.start()
     try:
         run()
@@ -1638,8 +1715,16 @@ def traced_peak(run) -> int:
 def test_convolve_and_natural_pd_transients_stay_bounded_at_i4():
     # at I_4, n = 4 the whole R-class gather of convolve took 2.6 MB and the
     # natural PD stacks of R-classes 3.1 MB; chunked, they took 0.51 and 1.28 MB.
-    # The grid product gathers B once per class, straight into its layout: 0.33 MB
+    # The grid product gathers B once per class, straight into its layout: 0.33 MB.
+    # The groupoid and blocks PD stacked the padded R-blocks of one size, 1.06 MB,
+    # and Bochner 1.12 MB; one block per class takes 0.77 and 0.82 MB.  The padded
+    # einsum of gram_pd_map took 0.76 MB, one einsum per class 0.18 MB
     st = get_structure("builtin:symmetric_inverse:4")
     f, g = random_map(st, 4, seed=3), gram_pd_map(st, 4, seed=1)
+    reps = get_irreps("builtin:symmetric_inverse:4")
     assert traced_peak(lambda: convolve(f, g)) <= 0.35e6
     assert traced_peak(lambda: pd_check(f, "natural")) <= 1.35e6
+    assert traced_peak(lambda: pd_check(f, "groupoid")) <= 0.85e6
+    assert traced_peak(lambda: pd_check(f, "blocks")) <= 0.85e6
+    assert traced_peak(lambda: bochner_check(f, reps)) <= 0.9e6
+    assert traced_peak(lambda: gram_pd_map(st, 4, seed=1)) <= 0.25e6
