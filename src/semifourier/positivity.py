@@ -288,7 +288,8 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
     keeps = [w > bound(tol, norm2) for w, _ in stacked]
-    width = max((int(k.sum()) for k in keeps), default=0)
+    class_dims = [int(k.sum()) for k in keeps]           # d_{e_k} per class k
+    width = max(class_dims, default=0)
 
     # per element u of a base R-class and coordinate i, the coordinates of
     # [floor(u) (x) x_i] in H_ran(u), and the representatives of the basis of
@@ -297,22 +298,24 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     lift_at = np.zeros((order, n, width), dtype=complex)
     blocks = np.zeros((order, width, width), dtype=complex)
     star = mult = 0.0
-    for grid, prod, (w, u), keep in zip(st.class_grids, st.class_products, stacked, keeps):
-        m, group, d = grid[0].ravel(), grid[0, 0], int(keep.sum())
+    for grid, prod, (w, u), keep, d in zip(st.class_grids, st.class_products, stacked, keeps, class_dims):
+        m, group = grid[0].ravel(), grid[0, 0]
         coords_at[m, :, :d] = (np.sqrt(w[keep])[None, :] * u[:, keep].conj()).reshape(len(m), n, d)
         lift_at[m, :, :d] = (u[:, keep] / np.sqrt(w[keep])[None, :]).reshape(len(m), n, d)
         # pi_k(g) on G_k: left multiplication by g sends floor(t) to floor(u) for
         # u = grid[0, c, h] and t = g^-1 u = prod[0, g, c, h]; then pi(grid[a, b, g]) = pi_k(g)
         rows = len(m) * n
-        blocks[grid] = coords_at[m].reshape(rows, width).T @ lift_at[prod[0]].reshape(len(group), rows, width)
+        pi_k = coords_at[m].reshape(rows, width).T @ lift_at[prod[0]].reshape(len(group), rows, width)
+        blocks[grid] = pi_k
         # g(s^-1) = g(s)^-1, and pi(s) pi(t) is the zero block unless dom(s) = ran(t),
         # when it is pi_k(g(s) g(t)): so star and multiplicativity are checked on each G_k
-        star = max(star, float(np.abs(blocks[group].conj().transpose(0, 2, 1) - blocks[st.inv[group]]).max(initial=0.0)))
+        star = max(star, float(np.abs(pi_k.conj().transpose(0, 2, 1) - blocks[st.inv[group]]).max(initial=0.0)))
         for x in group:
-            mult = max(mult, float(np.abs(blocks[x, :, :d] @ blocks[group, :d, :] - blocks[tab[x, group]]).max(initial=0.0)))
+            prod_x = blocks[x, :, :d] @ pi_k[:, :d, :] - blocks[tab[x, group]]
+            mult = max(mult, float(np.abs(prod_x).max(initial=0.0)))
     idem = np.array(st.idempotents, dtype=np.intp)
     dims = np.zeros(order, dtype=int)                    # d_e = d_{e_k} at each idempotent e
-    dims[idem] = np.array([int(k.sum()) for k in keeps], dtype=int)[st.class_of[idem]]
+    dims[idem] = np.array(class_dims, dtype=int)[st.class_of[idem]]
     v_at = coords_at[st.inv[st.transversal_at]].transpose(0, 2, 1)  # H_e part of V at e, else 0
 
     got = v_at[st.ran].conj().transpose(0, 2, 1) @ blocks @ v_at[st.dom]
