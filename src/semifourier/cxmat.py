@@ -26,7 +26,7 @@ def as_cmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite iff both of its parts are
         raise NotFinite("matrix entries must be finite")
     return m
 

@@ -85,10 +85,22 @@ def combine(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (table @ flat).view(complex).reshape(v.shape)
 
 
+def _relabelled(f: MatrixMap, basis: str) -> MatrixMap:
+    """f's validated, read-only values under another basis tag, neither copied nor checked again.
+
+    Only for a ``discrete_order``, where floor(s) = s and both bases hold the same numbers.
+    """
+    out = object.__new__(MatrixMap)
+    out.__dict__.update(structure=f.structure, dim=f.dim, basis=basis, values=f.values)
+    return out
+
+
 def to_groupoid(f: MatrixMap) -> MatrixMap:
     """Coefficient change natural -> groupoid: PhiT(floor(s)) = sum_{t >= s} Phi(t)."""
     if f.basis != NATURAL:
         raise WrongBasis("to_groupoid expects a natural-basis map")
+    if f.structure.discrete_order:
+        return _relabelled(f, GROUPOID)
     # leq[s, t] = 1 iff s <= t, so summing over the second index walks the up-set
     vals = combine(f.structure.leq_float, f.values)
     return MatrixMap(f.structure, f.dim, GROUPOID, vals)
@@ -98,6 +110,8 @@ def from_groupoid(f: MatrixMap) -> MatrixMap:
     """Coefficient change groupoid -> natural: Phi(s) = sum_{t >= s} mu(s,t) PhiT(floor(t))."""
     if f.basis != GROUPOID:
         raise WrongBasis("from_groupoid expects a groupoid-basis map")
+    if f.structure.discrete_order:
+        return _relabelled(f, NATURAL)
     # mobius[s, t] = mu(s, t) for s <= t
     vals = combine(f.structure.mobius_float, f.values)
     return MatrixMap(f.structure, f.dim, NATURAL, vals)

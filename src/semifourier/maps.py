@@ -61,14 +61,20 @@ def matrix_units_size(structure: InverseStructure) -> int:
     return m
 
 
-def choi(f: MatrixMap) -> BlockTensor:
-    """Choi matrix sum_ij e_ij (x) Phi(e_ij) of a map on matrix units."""
+def choi_layout(f: MatrixMap) -> np.ndarray:
+    """The (m n, m n) array [(i, a), (j, b)] = Phi(e_ij)[a, b] of a map on matrix units."""
     # this is positivity.rep_fourier at identity_rep(m), rho(e_ij) = e_ij;
     # it stays a layout: there each entry of the einsum sums m^2 terms, all but one zero
     m, n = matrix_units_size(f.structure), f.dim
     # the natural order on matrix units is discrete, so both bases store Phi(e_ij),
     # and e_ij is element 1 + (i-1) m + (j-1): values[1:] is the value table
-    return BlockTensor(m, n, f.values[1:].reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n))
+    return f.values[1:].reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
+def choi(f: MatrixMap) -> BlockTensor:
+    """Choi matrix sum_ij e_ij (x) Phi(e_ij) of a map on matrix units."""
+    c = choi_layout(f)
+    return BlockTensor(len(c) // f.dim, f.dim, c)
 
 
 def choi_invert(c: BlockTensor, x: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .harmonic import (
     fourier_transform_all,
     induced_irreps,
 )
-from .maps import choi, map_from_choi, matrix_units_size
+from .maps import choi_layout, map_from_choi, matrix_units_size
 from .semigroup import InverseStructure, build_matrix_units, inverse_structure
 
 PD_MODES = ("natural", "groupoid", "blocks")
@@ -53,16 +53,17 @@ def eval_natural(f: MatrixMap) -> np.ndarray:
     """Values of the stored linear map on natural elements: Lambda(s).
 
     For a groupoid-tagged map this sums the stored groupoid values over the
-    down-set of s (since s = sum_{t <= s} floor(t)).
+    down-set of s (since s = sum_{t <= s} floor(t)); on a discrete order that
+    down-set is {s}, so either basis's values are returned as they are.
     """
-    if f.basis == NATURAL:
+    if f.basis == NATURAL or f.structure.discrete_order:
         return f.values
     return combine(f.structure.leq_float.T, f.values)
 
 
 def eval_groupoid(f: MatrixMap) -> np.ndarray:
     """Values of the stored linear map on groupoid elements: Lambda(floor(s))."""
-    if f.basis == GROUPOID:
+    if f.basis == GROUPOID or f.structure.discrete_order:
         return f.values
     return combine(f.structure.mobius_float.T, f.values)
 
@@ -157,7 +158,7 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
         raise UnknownMode(f"unknown pd mode {mode!r}")
     st = f.structure
     # a natural order with comparable pairs besides s <= s (zeta != I)
-    if mode == "natural" and np.count_nonzero(st.leq) > len(st.nonzero):
+    if mode == "natural" and not st.discrete_order:
         # the entries of N: Lambda(u) at each nonzero u = ran(u)^-1 u, and 0 = Lambda(z)
         vals = eval_natural(f)
         spectra = [w for _, w in _natural_spectra(f)]
@@ -339,8 +340,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
 
 def cp_check(f: MatrixMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Choi criterion: the map is CP iff its Choi matrix is PSD."""
-    c = choi(f)  # raises WrongSemigroup off matrix units
-    ok, lo, _, _ = psd_verdict([c.matrix], tol)
+    ok, lo, _, _ = psd_verdict([choi_layout(f)], tol)  # raises WrongSemigroup off matrix units
     return ok, lo
 
 

@@ -372,6 +372,12 @@ class InverseStructure:
         return tuple(products)
 
     @cached_property
+    def discrete_order(self) -> bool:
+        """True when s <= t only for s = t (matrix units, groups with zero): then
+        floor(s) = s, zeta and Mobius are the identity and both bases hold the same values."""
+        return int(np.count_nonzero(self.leq)) == len(self.nonzero)
+
+    @cached_property
     def leq_float(self) -> np.ndarray:
         """``leq`` cast to float once, for the basis changes."""
         a = self.leq.astype(float)
