@@ -43,6 +43,7 @@ from semifourier.harmonic import (
 )
 from semifourier.maps import (
     Supermap,
+    choi,
     convolve,
     identity_supermap,
     representing_map,
@@ -64,6 +65,7 @@ from semifourier.positivity import (
     _natural_spectra,
     bochner_check,
     conjugation_rep,
+    cp_check,
     direct_sum_rep,
     eval_groupoid,
     eval_natural,
@@ -543,6 +545,101 @@ def test_basis_changes_match_einsum(ref, n):
     assert_close(eval_natural(g), np.einsum("ts,tij->sij", leq, vals))
     assert_close(eval_groupoid(f), np.einsum("ts,tij->sij", mob, vals))
     assert_close(combine(st.leq_float.T, vals), np.einsum("ts,tij->sij", leq, vals))
+
+
+def oracle_discrete_order(st):
+    """s <= t only for s = t: leq is the diagonal of the nonzero elements."""
+    return np.array_equal(st.leq, np.diag(np.arange(st.table.order) != st.zero))
+
+
+def dense_basis_changes(vals, st):
+    """to_groupoid, from_groupoid, eval_natural and eval_groupoid of maps holding
+    these values, as the dense zeta / Mobius products."""
+    return (combine(st.leq_float, vals), combine(st.mobius_float, vals),
+            combine(st.leq_float.T, vals), combine(st.mobius_float.T, vals))
+
+
+def library_basis_changes(st, n, seed):
+    """The natural map, the groupoid map with the same values, and the four basis changes."""
+    nat = random_map(st, n, seed)
+    grp = MatrixMap(st, n, GROUPOID, nat.values)
+    return nat, grp, (to_groupoid(nat), from_groupoid(grp), eval_natural(grp), eval_groupoid(nat))
+
+
+def assert_basis_changes_relabel(st, n, seed):
+    assert st.discrete_order and oracle_discrete_order(st)
+    nat, grp, changes = library_basis_changes(st, n, seed)
+    for got, want in zip(changes, dense_basis_changes(nat.values, st)):
+        vals = got.values if isinstance(got, MatrixMap) else got
+        assert np.array_equal(vals, want)
+        assert not vals.flags.writeable and not vals[st.zero].any()
+    for got, source, basis in zip(changes, (nat, grp), (GROUPOID, NATURAL)):
+        # the relabelled map holds its input's own validated array under the other tag
+        assert (got.structure, got.dim, got.basis) == (st, n, basis)
+        assert np.shares_memory(got.values, source.values)
+        assert np.array_equal(MatrixMap(st, n, basis, got.values).values, got.values)
+    assert changes[2] is grp.values and changes[3] is nat.values
+
+
+@pytest.mark.parametrize("ref", [f"builtin:matrix_units:{m}" for m in range(1, 15)]
+                         + [f"builtin:cyclic_with_zero:{k}" for k in range(1, 49)])
+def test_basis_changes_relabel_on_a_discrete_order(ref):
+    st = get_structure(ref)
+    for n in (1, 2):
+        assert_basis_changes_relabel(st, n, seed=n)
+
+
+def rook_elements_of_rank(degree, ranks):
+    """Nonzero elements of I_degree whose rank (count of x>y pairs in the name) is in ranks."""
+    names = get_structure(f"builtin:symmetric_inverse:{degree}").table.element_names
+    return [i for i, name in enumerate(names) if name.count(">") in ranks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), degree=hst.integers(1, 4), n=hst.integers(1, 2), seed=hst.integers(0, 2**16))
+def test_basis_changes_relabel_on_drawn_discrete_orders(data, degree, n, seed):
+    # units of I_n generate a group with zero; rank-1 partial bijections a Brandt
+    # semigroup, whose only element below a rank-1 element is the empty map
+    rank = data.draw(hst.sampled_from([degree, 1]))
+    gens = data.draw(hst.lists(hst.sampled_from(rook_elements_of_rank(degree, {rank})), min_size=1, max_size=3))
+    assert_basis_changes_relabel(inverse_structure(inverse_subsemigroup(degree, gens)), n, seed)
+
+
+def assert_basis_changes_are_dense(st, n, seed):
+    assert not st.discrete_order and not oracle_discrete_order(st)
+    nat, _, changes = library_basis_changes(st, n, seed)
+    for got, want in zip(changes, dense_basis_changes(nat.values, st)):
+        vals = got.values if isinstance(got, MatrixMap) else got
+        assert vals.tobytes() == want.tobytes()  # bitwise, signed zeros included
+
+
+@pytest.mark.parametrize("ref", [f"builtin:symmetric_inverse:{k}" for k in (2, 3, 4)] + list(GRID_SUBSEMIGROUPS))
+def test_basis_changes_with_comparable_pairs_stay_dense(ref):
+    st = grid_structure(ref)
+    for n in (1, 2):
+        assert_basis_changes_are_dense(st, n, seed=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), degree=hst.integers(2, 4), n=hst.integers(1, 2), seed=hst.integers(0, 2**16))
+def test_basis_changes_with_comparable_pairs_stay_dense_on_drawn_structures(data, degree, n, seed):
+    # an element of rank r >= 2 lies above its restriction s e to a point e of its domain
+    rook = get_structure(f"builtin:symmetric_inverse:{degree}")
+    tab = rook.table.table
+    above = data.draw(hst.sampled_from(rook_elements_of_rank(degree, set(range(2, degree + 1)))))
+    points = [e for e in rook_elements_of_rank(degree, {1}) if tab[e, e] == e and tab[above, e] != rook.zero]
+    gens = [above, int(tab[above, data.draw(hst.sampled_from(points))])]
+    gens += data.draw(hst.lists(hst.integers(1, rook.table.order - 1), max_size=3))
+    assert_basis_changes_are_dense(inverse_structure(inverse_subsemigroup(degree, gens)), n, seed)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_cp_check_is_the_verdict_on_the_choi_matrix(m):
+    st = get_structure(f"builtin:matrix_units:{m}")
+    for f in (random_cp_map(m, 2, seed=m, structure=st), transpose_map(m, st), random_map(st, 2, m),
+              random_map(st, 1, m, GROUPOID)):
+        ok, lo, _, _ = psd_verdict([choi(f).matrix])
+        assert cp_check(f) == (ok, lo)
 
 
 # --- Stinespring dilation, block by block ------------------------------------------
@@ -1728,3 +1825,15 @@ def test_convolve_and_natural_pd_transients_stay_bounded_at_i4():
     assert traced_peak(lambda: pd_check(f, "blocks")) <= 0.85e6
     assert traced_peak(lambda: bochner_check(f, reps)) <= 0.9e6
     assert traced_peak(lambda: gram_pd_map(st, 4, seed=1)) <= 0.25e6
+
+
+def test_basis_changes_on_a_discrete_order_allocate_no_value_table():
+    # at matrix_units:14, n = 2 the zeta / Mobius products allocated the (197, 2, 2)
+    # result and its validated copy, 27.6 KB per basis change and 13.4 KB per eval;
+    # the relabel allocates one map object.  convolve took 72.9 KB, now 58.4 KB
+    st = get_structure("builtin:matrix_units:14")
+    f, g = random_map(st, 2, seed=3), gram_pd_map(st, 2, seed=1)
+    for run in (lambda: to_groupoid(f), lambda: from_groupoid(g), lambda: eval_groupoid(f),
+                lambda: eval_natural(g)):
+        assert traced_peak(run) < 1000
+    assert traced_peak(lambda: convolve(f, g)) <= 0.065e6
