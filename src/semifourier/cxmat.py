@@ -6,6 +6,7 @@ order.  Everything at desk scale is dense; dimensions stay well below ~200.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,12 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     is simply not PSD: the verdict needs defect <= tol * max-abs entry and
     min eigenvalue >= -tol * ||.||_2, so scaling the matrix leaves it
     unchanged.  This is the library's one PSD verdict.  Returns (verdict, min eigenvalue, hermitian
-    defect, ||.||_2).
+    defect, ||.||_2).  A single square matrix takes the one-pass path ``_block_verdict``.
     """
+    if len(blocks) == 1 and mirrors is None:
+        b = np.asarray(blocks[0], dtype=complex)
+        if b.ndim == 2 and b.shape[0] == b.shape[1]:
+            return _block_verdict(b, tol, None if spectra is None else spectra[0])
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     if not all(np.isfinite(b).all() for b in blocks):
         raise NotFinite("matrix entries must be finite")
@@ -109,6 +114,29 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     spectra = [w for w in spectra if w.size]
     lo = min((float(w[..., 0].min()) for w in spectra), default=0.0)
     norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for w in spectra), default=0.0)
+    return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
+
+
+def _block_verdict(b: np.ndarray, tol: float, spectrum=None) -> tuple[bool, float, float, float]:
+    """``psd_verdict([b], tol, [spectrum])`` of one square complex matrix b, bit for bit.
+
+    |b| is taken once: its max is the scale and, being finite exactly when
+    every entry is, also the finiteness check; only when it overflows or is
+    NaN are the entries themselves tested.  b^dagger is formed once for both
+    the defect and the Hermitized matrix whose spectrum is computed when
+    ``spectrum`` is omitted.
+    """
+    if not b.size:
+        return True, 0.0, 0.0, 0.0
+    scale = float(np.abs(b).max())
+    if not math.isfinite(scale) and not np.isfinite(b).all():
+        raise NotFinite("matrix entries must be finite")
+    bh = b.conj().T
+    defect = float(np.abs(b - bh).max())
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh((b + bh) / 2.0)
+    lo, hi = float(spectrum[0]), float(spectrum[-1])
+    norm2 = max(abs(lo), abs(hi))
     return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
 
 

@@ -26,7 +26,7 @@ from .errors import (
     WrongBasis,
 )
 from .grouprep import GroupRep, unitary_irreps
-from .semigroup import InverseStructure, maximal_subgroup
+from .semigroup import InverseStructure
 
 NATURAL = "natural"
 GROUPOID = "groupoid"
@@ -170,8 +170,8 @@ def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
     """The complete induced family, ordered by (class, subgroup irrep)."""
     return [
         InducedRep(s, k, rho, s.ranks[k] * rho.dim, f"D{k}.{i}", s.class_grids[k])
-        for k, e in enumerate(s.base_idempotents)
-        for i, rho in enumerate(unitary_irreps(maximal_subgroup(s, e), seed=seed))
+        for k, group in enumerate(s.class_groups)
+        for i, rho in enumerate(unitary_irreps(group, seed=seed))
     ]
 
 

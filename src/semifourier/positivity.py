@@ -209,12 +209,18 @@ def bochner_check(
     else:
         check_irreps_complete(st, reps)
     tilde = as_groupoid(f)
-    pd = pd_check(tilde, "groupoid", tol)
+    grams = _class_grams(tilde)  # pd_check(tilde, "groupoid"), keeping its class blocks and spectra
+    spectra = [np.linalg.eigvalsh(hermitized(g)) for g in grams]
+    pd = PDSlice("groupoid", *psd_verdict(grams, tol, spectra))
     per, norms = [], [pd.norm]
     all_ok = True
     worst = np.inf
     for rep, t in zip(reps, fourier_transform_all(tilde, reps).transforms):
-        ok, lo, _, norm2 = psd_verdict([t.matrix], tol)
+        # on a class with a trivial maximal subgroup the one transform is the class block
+        # itself (matrix units: the Choi matrix), whose spectrum is then not computed twice
+        k = rep.class_index
+        same = np.array_equal(t.matrix, grams[k])
+        ok, lo, _, norm2 = psd_verdict([t.matrix], tol, [spectra[k]] if same else None)
         per.append((rep.irrep_id, ok, lo))
         norms.append(norm2)
         all_ok = all_ok and ok
@@ -239,15 +245,17 @@ class Dilation:
     The dilation space is the direct sum of the summands H_e over the nonzero
     idempotents e, in ascending order of e; H_e has dimension dims[e] and
     starts at offsets[e].  pi(s) sends H_dom(s) to H_ran(s) and kills every
-    other summand, so only that block is stored, in a stack zero-padded to
-    the widest summand: ``block(s)``.  The element at grid[a, b, g] of a
-    class's grid holds pi_k(g), since pi(p_a g p_b^-1) = pi_k(g).
+    other summand, so only that block is stored.  The summands of one D-class
+    k are copies of one space of dimension d_k, and the element at
+    grid[a, b, g] of the class's grid has pi(p_a g p_b^-1) = pi_k(g)
+    (Steinberg 2006), so ``pi[k]`` holds the |G_k| blocks pi_k(g), one
+    (|G_k|, d_k, d_k) stack per class, and ``block(s)`` reads pi_k(g(s)).
     """
 
     structure: InverseStructure = field(repr=False)
     dim: int
     v: np.ndarray                     # (dim, n)
-    blocks: np.ndarray                # (|S|, width, width); pi(s) at the top left
+    pi: tuple[np.ndarray, ...]        # per class k, (|G_k|, d_k, d_k): pi_k(g) in the g order of its grid
     dims: np.ndarray                  # (|S|,) d_e at each nonzero idempotent e, else 0
     offsets: np.ndarray               # (|S|,) start of H_e at each nonzero idempotent e
     reconstruction_residual: float
@@ -256,9 +264,12 @@ class Dilation:
     star_residual: float
 
     def block(self, s: int) -> np.ndarray:
-        """pi(s) from H_dom(s) to H_ran(s): a d_ran(s) x d_dom(s) matrix."""
+        """pi(s) from H_dom(s) to H_ran(s): a d_ran(s) x d_dom(s) matrix, 0 x 0 at z."""
         st = self.structure
-        return self.blocks[s, : self.dims[st.ran[s]], : self.dims[st.dom[s]]]
+        if s == st.zero:
+            return np.zeros((0, 0), dtype=complex)
+        pi = self.pi[st.class_of[s]]
+        return pi[st.grid_index[s] % len(pi)]
 
 
 def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
@@ -273,14 +284,18 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
     pi is induced from the maximal subgroups (Steinberg 2006):
     pi(p_a g p_b^-1) = pi_k(g) = sum over u in R_{e_k} of coords(u) (x) lift(g^-1 u),
     with g^-1 u read at ``class_products[k][0, g]``.
-    V is the class of (identity (x) x); its H_e part is the coordinate map of
-    floor(e) = p_e floor(p_e^-1), read at p_e^-1.  All invariants are verified
-    a posteriori on the blocks and their residuals recorded.
+    V is the class of (identity (x) x); its H_e part V_e is the coordinate map
+    of floor(e) = p_e floor(p_e^-1), read at p_e^-1 in grid[0].  All invariants
+    are verified a posteriori, class by class, and their residuals recorded:
+    star and multiplicativity on pi_k with G_k's own inverse and product
+    tables, since g(s^-1) = g(s)^-1 and pi(s) pi(t) is pi_k(g(s) g(t)) when
+    dom(s) = ran(t) and the zero block otherwise; the reconstruction
+    V_a^dagger pi_k(g) V_b = Phi(floor(p_a g p_b^-1)) as two products per class.
     """
     if f.basis != GROUPOID:
         raise WrongBasis("stinespring expects a groupoid-basis map")
     st = f.structure
-    n, order, tab = f.dim, st.table.order, st.table.table
+    n, at = f.dim, st.grid_index
     grams = _class_grams(f)
     stacked = [np.linalg.eigh(hermitized(g)) for g in grams]
     ok, lo, defect, norm2 = psd_verdict(grams, tol, [w for w, _ in stacked])
@@ -288,44 +303,43 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
         )
-    keeps = [w > bound(tol, norm2) for w, _ in stacked]
-    class_dims = [int(k.sum()) for k in keeps]           # d_{e_k} per class k
-    width = max(class_dims, default=0)
-
-    # per element u of a base R-class and coordinate i, the coordinates of
-    # [floor(u) (x) x_i] in H_ran(u), and the representatives of the basis of
-    # H_ran(u) at u, both padded to the widest summand and zero elsewhere
-    coords_at = np.zeros((order, n, width), dtype=complex)
-    lift_at = np.zeros((order, n, width), dtype=complex)
-    blocks = np.zeros((order, width, width), dtype=complex)
-    star = mult = 0.0
-    for grid, prod, (w, u), keep, d in zip(st.class_grids, st.class_products, stacked, keeps, class_dims):
-        m, group = grid[0].ravel(), grid[0, 0]
-        coords_at[m, :, :d] = (np.sqrt(w[keep])[None, :] * u[:, keep].conj()).reshape(len(m), n, d)
-        lift_at[m, :, :d] = (u[:, keep] / np.sqrt(w[keep])[None, :]).reshape(len(m), n, d)
-        # pi_k(g) on G_k: left multiplication by g sends floor(t) to floor(u) for
-        # u = grid[0, c, h] and t = g^-1 u = prod[0, g, c, h]; then pi(grid[a, b, g]) = pi_k(g)
-        rows = len(m) * n
-        pi_k = coords_at[m].reshape(rows, width).T @ lift_at[prod[0]].reshape(len(group), rows, width)
-        blocks[grid] = pi_k
-        # g(s^-1) = g(s)^-1, and pi(s) pi(t) is the zero block unless dom(s) = ran(t),
-        # when it is pi_k(g(s) g(t)): so star and multiplicativity are checked on each G_k
-        star = max(star, float(np.abs(pi_k.conj().transpose(0, 2, 1) - blocks[st.inv[group]]).max(initial=0.0)))
-        for x in group:
-            prod_x = blocks[x, :, :d] @ pi_k[:, :d, :] - blocks[tab[x, group]]
-            mult = max(mult, float(np.abs(prod_x).max(initial=0.0)))
-    idem = np.array(st.idempotents, dtype=np.intp)
-    dims = np.zeros(order, dtype=int)                    # d_e = d_{e_k} at each idempotent e
-    dims[idem] = np.array(class_dims, dtype=int)[st.class_of[idem]]
-    v_at = coords_at[st.inv[st.transversal_at]].transpose(0, 2, 1)  # H_e part of V at e, else 0
-
-    got = v_at[st.ran].conj().transpose(0, 2, 1) @ blocks @ v_at[st.dom]
-    recon = float(np.abs(got - f.values).max())
+    dims = np.zeros(st.table.order, dtype=int)           # d_e = d_k at each idempotent e of class k
+    pis, v_at = [], {}
+    recon = star = mult = 0.0
+    for grid, prod, group, gram, (w, u) in zip(st.class_grids, st.class_products, st.class_groups,
+                                                grams, stacked):
+        # eigh's eigenvalues ascend, so those kept are a suffix
+        first = int(w.searchsorted(bound(tol, norm2), side="right"))
+        d, (r, _, size) = len(w) - first, grid.shape
+        root, u = np.sqrt(w[first:]), u[:, first:]
+        # per u in grid[0] and coordinate i, the coordinates of [floor(u) (x) x_i] in H_{e_k}
+        # and the representatives of the basis of H_{e_k} at u
+        coords = (u.conj() * root).reshape(r * size, n, d)
+        lift = (u / root).reshape(r * size, n, d)
+        # left multiplication by g sends floor(t) to floor(u) for u = grid[0, c, h] and
+        # t = g^-1 u = prod[0, g, c, h], the element at position at[t] of grid[0]
+        pi_k = coords.reshape(r * size * n, d).T @ lift[at[prod[0]]].reshape(size, r * size * n, d)
+        pis.append(pi_k)
+        star = max(star, float(np.abs(pi_k.conj().transpose(0, 2, 1) - pi_k[group.inv]).max(initial=0.0)))
+        for x in range(size):
+            mult = max(mult, float(np.abs(pi_k[x] @ pi_k - pi_k[group.table[x]]).max(initial=0.0)))
+        # V_a is read at p_a^-1 = grid[0, a, 1], since g(p_a^-1) = e_k p_a^-1 p_a = e_k, over the
+        # class's idempotents e_a = ran(grid[a, 0, 0]) in grid order
+        es = st.ran[grid[:, 0, 0]]
+        vr = coords.reshape(r, size, n, d)[:, group.identity]               # (r, n, d): V_a^T
+        v_at.update(zip(es.tolist(), vr.transpose(0, 2, 1)))
+        dims[es] = d
+        # [(a, i), g, (b, j)] = (V_a^dagger pi_k(g) V_b)_ij, against Phi(grid[a, b, g])_ij, which
+        # the class block holds at row (a, 1, i) and column (b, g, j)
+        left = vr.conj().reshape(r * n, d) @ pi_k.transpose(1, 0, 2).reshape(d, size * d)
+        got = (left.reshape(r * n * size, d) @ vr.reshape(r * n, d).T).reshape(r, n, size, r, n)
+        want = gram.reshape(r, size, n, r, size, n)[:, group.identity].transpose(0, 1, 3, 2, 4)
+        recon = max(recon, float(np.abs(got - want).max()))
 
     # V on the summands at their offsets, in ascending order of e
-    offsets = np.cumsum(dims) - dims
-    v = v_at[idem][np.arange(width) < dims[idem][:, None]]
-    phi_identity = f.values[idem].sum(axis=0)
+    offsets = dims.cumsum() - dims
+    v = np.concatenate([v_at[e] for e in st.idempotents] or [np.zeros((0, n), dtype=complex)])
+    phi_identity = f.values[list(st.idempotents)].sum(axis=0)
     ident = float(np.abs(v.conj().T @ v - phi_identity).max())
     # judged relative to the map's largest entry, so that it does not change with scale
     limit = bound(1e-6, float(np.abs(f.values).max()))
@@ -333,7 +347,7 @@ def stinespring(f: MatrixMap, tol: float = DEFAULT_TOL) -> Dilation:
         raise ReconstructionFailure(
             f"dilation reconstruction residual {recon:.3e} exceeds {limit:.3e}"
         )
-    return Dilation(st, len(v), v, blocks, dims, offsets, recon, ident, mult, star)
+    return Dilation(st, len(v), v, tuple(pis), dims, offsets, recon, ident, mult, star)
 
 
 # --- CP checks on matrix units ----------------------------------------------

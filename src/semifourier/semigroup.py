@@ -360,13 +360,28 @@ class InverseStructure:
         return tuple(grids)
 
     @cached_property
+    def grid_index(self) -> np.ndarray:
+        """The flat position of each nonzero x in ``class_grids[class_of[x]]``, -1 at z:
+        grid[a, b, g] sits at (a r_k + b) |G_k| + g, so g is the position mod |G_k|, and
+        an x of the base R-class grid[0] sits at its position in grid[0]."""
+        index = np.full(self.table.order, -1, dtype=np.intp)
+        for grid in self.class_grids:
+            index[grid.ravel()] = np.arange(grid.size)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def class_groups(self) -> tuple[GroupTable, ...]:
+        """``maximal_subgroup(e_k)`` per class k, built once: G_k in ascending order, the g
+        axis of ``class_grids[k]``, with its own multiplication and inverse tables."""
+        return tuple(maximal_subgroup(self, e) for e in self.base_idempotents)
+
+    @cached_property
     def class_products(self) -> tuple[np.ndarray, ...]:
         """Per class k, prod[b, h, c, g] = grid[b, c, h^-1 g] with grid = ``class_grids[k]``:
-        s^-1 t for s = grid[a, b, h] and t = grid[a, c, g], the same for every R-class a.
-        Built on first use from ``maximal_subgroup(e_k)``, whose ascending order is the g axis."""
+        s^-1 t for s = grid[a, b, h] and t = grid[a, c, g], the same for every R-class a."""
         products = []
-        for grid, e in zip(self.class_grids, self.base_idempotents):
-            group = maximal_subgroup(self, e)
+        for grid, group in zip(self.class_grids, self.class_groups):
             products.append(np.ascontiguousarray(grid[:, :, group.table[group.inv]].transpose(0, 2, 1, 3)))
             products[-1].setflags(write=False)
         return tuple(products)

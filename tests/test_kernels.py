@@ -788,24 +788,36 @@ def test_per_dclass_path_matches_all_r_class_oracle(data, n, seed):
 
 # --- pi induced from the maximal subgroups --------------------------------------------
 
-def oracle_block_multiplicativity(st, blocks, dims):
+def oracle_block_multiplicativity(st, block):
     """max |pi(s) pi(t) - pi(st)| over every pair with dom(s) = ran(t), one middle
-    idempotent e at a time; every other product is the zero block by construction."""
+    idempotent e at a time, from each element's own d_ran x d_dom block ``block(s)``;
+    every other product is the zero block by construction."""
     mult = 0.0
     r_classes, tab = oracle_r_class_table(st), st.table.table
     for e in st.idempotents:
-        m, d = r_classes[e][r_classes[e] != st.zero], dims[e]
+        m = r_classes[e][r_classes[e] != st.zero]
         left = np.flatnonzero(st.dom == e)
-        prod = blocks[left][:, None, :, :d] @ blocks[m][None, :, :d, :]
-        target = blocks[tab[left[:, None], m[None, :]]]
-        mult = max(mult, float(np.abs(prod - target).max(initial=0.0)))
+        prod = np.stack([block(s) for s in left])[:, None] @ np.stack([block(t) for t in m])[None]
+        target = np.stack([block(s) for s in tab[left[:, None], m[None, :]].ravel()])
+        mult = max(mult, float(np.abs(prod - target.reshape(prod.shape)).max(initial=0.0)))
     return mult
+
+
+def oracle_block_star(st, block):
+    """max |pi(s)^dagger - pi(s^-1)| over every nonzero s."""
+    return max((float(np.abs(block(s).conj().T - block(st.inv[s])).max(initial=0.0)) for s in st.nonzero),
+               default=0.0)
+
+
+PaddedDilation = namedtuple("PaddedDilation", "dim v blocks dims offsets reconstruction_residual "
+                                              "identity_residual multiplicativity_residual star_residual")
 
 
 def oracle_transport_stinespring(f, tol=DEFAULT_TOL):
     """The dilation built by moving the base R-class coordinates and lifts to
-    every R-class by u -> p_e u, with pi(s) summed over the R-class of s and
-    multiplicativity checked over every composable pair.
+    every R-class by u -> p_e u, with pi(s) summed over the R-class of s into a
+    stack zero-padded to the widest summand, and multiplicativity checked over
+    every composable pair.
 
     Also returns, per block entry, twice the rounding bound of a complex dot
     product of length K, gamma_{K+2} sum_u |coords(u)| |lift(s^-1 u)| (Higham,
@@ -854,7 +866,7 @@ def oracle_transport_stinespring(f, tol=DEFAULT_TOL):
     got = v_at[st.ran].conj().transpose(0, 2, 1) @ blocks @ v_at[st.dom]
     recon = float(np.abs(got - f.values).max())
     star = float(np.abs(blocks.conj().transpose(0, 2, 1) - blocks[st.inv]).max(initial=0.0))
-    mult = oracle_block_multiplicativity(st, blocks, dims)
+    mult = oracle_block_multiplicativity(st, lambda s: blocks[s, : dims[st.ran[s]], : dims[st.dom[s]]])
     offsets = np.cumsum(dims) - dims
     dim = int(dims.sum())
     v = np.zeros((dim, n), dtype=complex)
@@ -866,23 +878,30 @@ def oracle_transport_stinespring(f, tol=DEFAULT_TOL):
         raise ReconstructionFailure(
             f"dilation reconstruction residual {recon:.3e} exceeds {limit:.3e}"
         )
-    return Dilation(st, dim, v, blocks, dims, offsets, recon, ident, mult, star), slack
+    return PaddedDilation(dim, v, blocks, dims, offsets, recon, ident, mult, star), slack
 
 
-BLOCK_RESIDUALS = ("reconstruction_residual", "multiplicativity_residual", "star_residual")
+# The reconstruction residual of ``stinespring`` forms V_a^dagger pi_k(g) V_b as two
+# products per D-class, and the oracle as one triple product per element on blocks
+# zero-padded to the widest summand, so the two round differently.  They stay within
+# RECON_ULPS units in the last place of the map's largest entry: at most 2 were seen
+# over 430 cases, the transport cases and drawn subsemigroups of I_2-I_4.
+RECON_ULPS = 4
 
 
 def assert_matches_transport_oracle(f, exact=True):
     """The dilation against the transport oracle, or the same error with the same message.
 
     dims, offsets, V and the identity residual (read off V) are equal exactly,
-    and the group-pair multiplicativity residual equals the all-pairs one on
-    the returned blocks.  pi(p_a g p_b^-1) sums the terms of the oracle's
-    pi(p_a g p_b^-1) in the order of the base R-class instead of the R-class
-    of p_a, so the blocks agree up to the rounding of that reordering.  With
-    exact, the blocks agree to 1e-15 relative and every residual is equal;
-    else only the blocks and residuals of equal blocks are, and the
-    residuals of reordered blocks agree to 1e-15 of the map.
+    and the group-pair star and multiplicativity residuals equal the all-pairs
+    ones on the returned blocks.  pi(p_a g p_b^-1) sums the terms of the
+    oracle's pi(p_a g p_b^-1) in the order of the base R-class instead of the
+    R-class of p_a, and over d_k columns instead of the padded width, so every
+    block(s) agrees with the oracle's up to the rounding of that reordering.
+    With exact, the blocks agree to 1e-15 relative and the star and
+    multiplicativity residuals are equal; else only those of equal blocks are,
+    and the residuals of reordered blocks agree to 1e-15 of the map.  The
+    reconstruction residual agrees to RECON_ULPS ulp of the map's largest entry.
     """
     try:
         got = stinespring(f)
@@ -898,17 +917,25 @@ def assert_matches_transport_oracle(f, exact=True):
     assert got.dim == want.dim
     assert np.array_equal(got.dims, want.dims) and np.array_equal(got.offsets, want.offsets)
     assert np.array_equal(got.v, want.v) and got.identity_residual == want.identity_residual
-    assert got.multiplicativity_residual == oracle_block_multiplicativity(st, got.blocks, got.dims)
-    assert got.blocks.shape == want.blocks.shape
-    assert (np.abs(got.blocks - want.blocks) <= slack).all()
-    residuals = [(getattr(got, r), getattr(want, r)) for r in BLOCK_RESIDUALS]
-    if exact or np.array_equal(got.blocks, want.blocks):
+    assert got.multiplicativity_residual == oracle_block_multiplicativity(st, got.block)
+    assert got.star_residual == oracle_block_star(st, got.block)
+    scale = max(1.0, float(np.abs(want.blocks).max(initial=0.0)))
+    equal = True
+    for s in st.nonzero:
+        rows, cols = want.dims[st.ran[s]], want.dims[st.dom[s]]
+        block, padded = got.block(s), want.blocks[s, :rows, :cols]
+        assert block.shape == (rows, cols)
+        assert (np.abs(block - padded) <= slack[s, :rows, :cols]).all()
+        if exact:
+            assert np.abs(block - padded).max(initial=0.0) <= 1e-15 * scale
+        equal = equal and np.array_equal(block, padded)
+    residuals = [(getattr(got, r), getattr(want, r)) for r in ("multiplicativity_residual", "star_residual")]
+    if exact or equal:
         assert all(a == b for a, b in residuals)
     else:
         assert all(abs(a - b) <= 1e-15 * max(1.0, float(np.abs(f.values).max())) for a, b in residuals)
-    if exact:
-        scale = max(1.0, float(np.abs(want.blocks).max(initial=0.0)))
-        assert np.abs(got.blocks - want.blocks).max(initial=0.0) <= 1e-15 * scale
+    ulp = np.spacing(float(np.abs(f.values).max()))
+    assert abs(got.reconstruction_residual - want.reconstruction_residual) <= RECON_ULPS * ulp
 
 
 def transport_input(st, n, kind, seed=3):
