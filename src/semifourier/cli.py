@@ -46,7 +46,7 @@ from .positivity import (
     pd_check,
     stinespring,
 )
-from .semigroup import build_matrix_units, groupoid_basis_matrices, inverse_structure
+from .semigroup import MAX_DIM, build_matrix_units, groupoid_basis_matrices, inverse_structure
 
 PARSE_EXIT = 2
 STRUCTURE_EXIT = 3
@@ -347,7 +347,8 @@ def main(argv=None) -> int:
     for option, ok, rule in (("--tol", np.isfinite(args.tol) and args.tol > 0, "finite and positive"),
                              ("--seed", args.seed >= 0, ">= 0"),
                              ("--trials", getattr(args, "trials", 1) >= 1, ">= 1"),
-                             ("--target-dim", getattr(args, "target_dim", 1) >= 1, ">= 1")):
+                             ("--target-dim", 1 <= getattr(args, "target_dim", 1) <= MAX_DIM,
+                              f"between 1 and {MAX_DIM}")):
         if not ok:
             return _fail(PARSE_EXIT, "BadOption", f"{option} must be {rule}")
     args._inputs = args.inputs(args)

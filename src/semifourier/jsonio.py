@@ -15,7 +15,13 @@ import numpy as np
 from .errors import SizeLimit
 from .harmonic import MatrixMap
 from .positivity import Dilation, MatrixAlgebraRep
-from .semigroup import MAX_ORDER, SemigroupTable, from_builtin, inverse_structure
+from .semigroup import MAX_DIM, SemigroupTable, check_order, from_builtin, inverse_structure
+
+
+def check_dim(n: int, what: str) -> None:
+    """Refuse a target or representation dimension above MAX_DIM before allocating for it."""
+    if n > MAX_DIM:
+        raise SizeLimit(f"{what} {n} exceeds the cap {MAX_DIM}")
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -42,8 +48,7 @@ def semigroup_to_json(t: SemigroupTable) -> dict:
 
 def semigroup_from_json(obj: dict) -> SemigroupTable:
     names = tuple(str(x) for x in obj["elements"])
-    if len(names) > MAX_ORDER:
-        raise SizeLimit(f"semigroup has {len(names)} elements; the cap is {MAX_ORDER}")
+    check_order(len(names), "semigroup")
     zero = obj.get("zero")
     return SemigroupTable(
         name=str(obj.get("name", "semigroup")),
@@ -85,6 +90,7 @@ def map_fields(obj: dict, base_dir: Path | None = None) -> tuple[SemigroupTable,
     n = int(obj["target_dim"])
     if n < 1:
         raise ValueError(f"target_dim must be >= 1, got {n}")
+    check_dim(n, "target_dim")
     vals = np.zeros((table.order, n, n), dtype=complex)
     for name, rows in obj["values"].items():
         vals[table.index_of(name)] = matrix_from_json(rows)
@@ -124,6 +130,8 @@ def rep_from_json(obj: dict) -> MatrixAlgebraRep:
     d = int(obj["rep_dim"])
     if min(m, d) < 1:
         raise ValueError(f"source_dim and rep_dim must be >= 1, got {m} and {d}")
+    check_order(m * m + 1, f"matrix_units:{m}")  # the semigroup the probe builds for it
+    check_dim(d, "rep_dim")
     mats = np.zeros((m, m, d, d), dtype=complex)
     for i in range(m):
         for j in range(m):

@@ -30,7 +30,10 @@ from .errors import (
 )
 
 MAX_SYMMETRIC_DEGREE = 4  # |I_4| = 209 elements; degree 5 would be 1546
-MAX_ORDER = 256  # elements in a semigroup file; I_4 has 209, matrix_units:15 has 226
+MAX_ORDER = 256  # elements in a semigroup; I_4 has 209, matrix_units:15 has 226
+# target dimension of a map and dimension of a representation: a map at the order cap
+# then holds 256 * 64^2 complex values (16 MB)
+MAX_DIM = 64
 _VALIDATE_ROWS = 16  # rows of x per associativity chunk
 
 
@@ -222,15 +225,26 @@ BUILTIN_BUILDERS = {
 }
 
 
+def check_order(order: int, what: str) -> None:
+    """Refuse a semigroup of more than MAX_ORDER elements, before anything of its size is built."""
+    if order > MAX_ORDER:
+        raise SizeLimit(f"{what} has {order} elements; the cap is {MAX_ORDER}")
+
+
 def from_builtin(ref: str) -> SemigroupTable:
-    """Resolve a reference like "builtin:matrix_units:2"."""
+    """Resolve a reference like "builtin:matrix_units:2".
+
+    The order is checked against MAX_ORDER before the table is built; I_n
+    is capped by its degree in ``build_symmetric_inverse``."""
     parts = ref.split(":")
     if len(parts) != 3 or parts[0] != "builtin":
         raise ValueError(f"bad builtin reference {ref!r}")
     _, family, size = parts
     if family not in BUILTIN_BUILDERS:
         raise ValueError(f"unknown builtin family {family!r}")
-    return BUILTIN_BUILDERS[family](int(size))
+    n = int(size)
+    check_order({"matrix_units": n * n + 1, "cyclic_with_zero": n + 1}.get(family, 0), ref)
+    return BUILTIN_BUILDERS[family](n)
 
 
 # --- groups ---------------------------------------------------------------

@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from semifourier import cli
+from semifourier import cli, semigroup
 from semifourier.cli import main
 from semifourier.errors import InternalInconsistency
 from semifourier.harmonic import MatrixMap, from_groupoid
 from semifourier.jsonio import load_map, matrix_from_json, save_map
 from semifourier.positivity import gram_pd_map
-from semifourier.semigroup import MAX_ORDER
+from semifourier.semigroup import MAX_DIM, MAX_ORDER, from_builtin
 
 from conftest import REPO_ROOT, SAMPLE_DATA, get_structure
 
@@ -72,6 +72,58 @@ def test_semigroup_file_above_the_size_cap_exits_4(tmp_path, capsys):
         path.write_text(json.dumps({"elements": [f"x{i}" for i in range(order)], "zero": "x0", "table": table}))
         code, _, err = run_cli(["analyze", path], capsys)
         assert (code, json.loads(err)["error"]["kind"]) == (want, kind)
+
+
+@pytest.mark.parametrize("ref,order", [("builtin:matrix_units:16", 257), ("builtin:matrix_units:100", 10001),
+                                       ("builtin:cyclic_with_zero:256", 257),
+                                       ("builtin:cyclic_with_zero:100000", 100001)])
+def test_builtin_above_the_size_cap_exits_4_before_building(monkeypatch, capsys, ref, order):
+    family = ref.split(":")[1]
+    monkeypatch.setitem(semigroup.BUILTIN_BUILDERS, family, lambda n: pytest.fail(f"built {family}:{n}"))
+    code, out, err = run_cli(["analyze", ref], capsys)
+    error = json.loads(err)["error"]
+    assert (code, out, error["kind"]) == (4, "", "SizeLimit")
+    assert error["message"] == f"{ref} has {order} elements; the cap is {MAX_ORDER}"
+
+
+def test_builtins_at_the_size_cap_are_built():
+    assert from_builtin("builtin:matrix_units:15").order == 226
+    assert from_builtin("builtin:cyclic_with_zero:255").order == MAX_ORDER
+
+
+def write_rep(path, m, d):
+    # the caps are checked before any matrix is read, so none is written
+    path.write_text(json.dumps({"source_dim": m, "rep_dim": d, "matrices": {}}))
+    return path
+
+
+@pytest.mark.parametrize("m,d,message", [
+    (16, 1, f"matrix_units:16 has 257 elements; the cap is {MAX_ORDER}"),
+    (100000, 1, f"matrix_units:100000 has 10000000001 elements; the cap is {MAX_ORDER}"),
+    (2, MAX_DIM + 1, f"rep_dim {MAX_DIM + 1} exceeds the cap {MAX_DIM}"),
+    (2, 10**8, f"rep_dim {10**8} exceeds the cap {MAX_DIM}"),
+], ids=["source-16", "source-huge", "rep-dim-65", "rep-dim-huge"])
+def test_rep_file_above_the_caps_exits_4(tmp_path, capsys, m, d, message):
+    code, out, err = run_cli(["cpprobe", write_rep(tmp_path / "rep.json", m, d)], capsys)
+    assert (code, out, json.loads(err)["error"]) == (4, "", {"kind": "SizeLimit", "message": message})
+
+
+@pytest.mark.parametrize("n", [MAX_DIM + 1, 100_000_000])
+def test_map_file_target_dim_above_the_cap_exits_4(tmp_path, capsys, n):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"semigroup": "builtin:matrix_units:2", "target_dim": n, "basis": "natural",
+                                "values": {}}))
+    for verb in (["fourier", path], ["stinespring", path], ["check", path, "--which", "pd"]):
+        code, out, err = run_cli(verb, capsys)
+        assert (code, out, json.loads(err)["error"]) == (4, "", {
+            "kind": "SizeLimit", "message": f"target_dim {n} exceeds the cap {MAX_DIM}"})
+
+
+def test_map_file_at_the_target_dim_cap_is_read(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"semigroup": "builtin:matrix_units:1", "target_dim": MAX_DIM, "basis": "natural",
+                                "values": {}}))
+    assert run_json(["check", path, "--which", "cp"], capsys)["result"]["verdict"] is True
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -394,10 +446,11 @@ REP = SAMPLE_DATA / "identity_rep_m2.json"
     ("--trials", ["cpprobe", REP, "--trials", "0"]),
     ("--target-dim", ["cpprobe", REP, "--target-dim", "0"]),
     ("--target-dim", ["cpprobe", REP, "--target-dim", "-2"]),
+    ("--target-dim", ["cpprobe", REP, "--target-dim", str(MAX_DIM + 1)]),
 ], ids=["tol-nan", "tol-inf", "seed-negative", "trials-negative", "trials-zero", "target-dim-zero",
-        "target-dim-negative"])
+        "target-dim-negative", "target-dim-above-cap"])
 def test_option_out_of_range_exits_2(capsys, option, argv):
-    # --tol finite and positive, --seed >= 0, --trials and --target-dim >= 1
+    # --tol finite and positive, --seed >= 0, --trials >= 1, --target-dim in 1..MAX_DIM
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
