@@ -136,7 +136,7 @@ def _block_verdict(b: np.ndarray, tol: float, spectrum=None) -> tuple[bool, floa
     if spectrum is None:
         spectrum = np.linalg.eigvalsh((b + bh) / 2.0)
     lo, hi = float(spectrum[0]), float(spectrum[-1])
-    norm2 = max(abs(lo), abs(hi))
+    norm2 = float(np.maximum(abs(lo), abs(hi)))  # NaN-propagating, as the general path's max
     return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
 
 

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifourier.cxmat import (
+    DEFAULT_TOL,
     BlockTensor,
+    _block_verdict,
+    hermitized,
     is_psd,
     kron,
     partial_trace_left,
     psd_verdict,
 )
-from semifourier.errors import DimensionMismatch, NotHermitian
+from semifourier.errors import DimensionMismatch, NotFinite, NotHermitian
 
 from conftest import openblas_threads
 
@@ -159,6 +162,59 @@ def test_psd_verdict_of_blocks_is_that_of_the_block_diagonal_matrix():
     assert lo == pytest.approx(want_lo, abs=1e-12)
     assert norm2 == pytest.approx(want_norm2, abs=1e-12)
     assert psd_verdict([stack])[0] and psd_verdict([]) == (True, 0.0, 0.0, 0.0)
+
+
+def drawn_block(data) -> np.ndarray:
+    """A random, Hermitian, PSD (possibly rank-deficient) or empty square block, scaled by c."""
+    kind = data.draw(st.sampled_from(["random", "hermitian", "psd", "empty"]))
+    if kind == "empty":
+        return np.zeros((0, 0), dtype=complex)
+    m = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rand(rng, m, m)
+    if kind == "hermitian":
+        a = a + a.conj().T
+    elif kind == "psd":
+        a = rand(rng, data.draw(st.integers(1, m)), m)
+        a = a.conj().T @ a
+    return 10.0 ** data.draw(st.floats(-12, 12)) * a
+
+
+def same(a, b) -> bool:
+    """Equal tuples of verdict and floats, bit for bit, NaN equal to NaN."""
+    return len(a) == len(b) and all(x == y or (x != x and y != y) for x, y in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([DEFAULT_TOL, 1e-3, 1.0]))
+def test_single_block_path_is_the_general_verdict_bit_for_bit(data, tol):
+    # a stack of one block takes psd_verdict's general path
+    b = drawn_block(data)
+    general = psd_verdict([b[None]], tol)
+    assert _block_verdict(b, tol) == general and psd_verdict([b], tol) == general
+    w = np.linalg.eigvalsh(hermitized(b))
+    assert psd_verdict([b], tol, [w]) == psd_verdict([b[None]], tol, [w[None]]) == general
+    if b.size:  # a given spectrum is read as given, NaN included
+        w = w.copy()
+        w[data.draw(st.sampled_from([0, -1]))] = np.nan
+        assert same(psd_verdict([b], tol, [w]), psd_verdict([b[None]], tol, [w[None]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
+def test_single_block_path_raises_not_finite(bad):
+    b = np.eye(3, dtype=complex)
+    b[1, 2] = bad
+    for blocks in ([b], [b[None]]):
+        with pytest.raises(NotFinite):
+            psd_verdict(blocks)
+
+
+def test_single_block_path_on_entries_whose_modulus_overflows():
+    # finite entries with |z| = inf: no NotFinite, and the same (NaN-carrying) result
+    b = np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = psd_verdict([b]), psd_verdict([b[None]])
+    assert same(got, want) and got[0] is False
 
 
 def test_psd_verdict_rejects_non_hermitian_without_raising():

@@ -975,7 +975,8 @@ def test_stinespring_matches_transport_oracle_on_drawn_structures(data, n, seed)
 
 
 def test_stinespring_allocates_no_dense_pi_until_read():
-    # a dense (|S|, dim, dim) pi would take 209 * 208^2 * 16 bytes = 145 MB at I_4
+    # a dense (|S|, dim, dim) pi would take 209 * 208^2 * 16 bytes = 145 MB at I_4, and
+    # the stack padded to the widest summand peaked at 3.5 MB; the per-class stacks peak at 1.3 MB
     st = get_structure("builtin:symmetric_inverse:4")
     f = gram_pd_map(st, 2, seed=0)
     st.class_products  # cached set-up, not part of the dilation
@@ -986,7 +987,24 @@ def test_stinespring_allocates_no_dense_pi_until_read():
     finally:
         tracemalloc.stop()
     assert dil.dim == 208
-    assert peak <= 12e6
+    assert peak <= 2.5e6
+
+
+def test_stinespring_stores_one_pi_k_stack_per_dclass():
+    # pi_k(g) for g in G_k, d_k x d_k each: sum_k |G_k| d_k^2 = 17584 entries (0.28 MB) at
+    # I_4, n = 2, against 209 * 24^2 = 120384 in a stack padded to the widest summand
+    st = get_structure("builtin:symmetric_inverse:4")
+    dil = stinespring(gram_pd_map(st, 2, seed=0))
+    shapes = [(len(g.element_names), int(dil.dims[e]), int(dil.dims[e]))
+              for g, e in zip(st.class_groups, st.base_idempotents)]
+    assert [p.shape for p in dil.pi] == shapes == [(1, 4, 4), (2, 12, 12), (6, 24, 24), (24, 24, 24)]
+    assert sum(p.size for p in dil.pi) == 17584 and sum(p.nbytes for p in dil.pi) <= 0.3e6
+    for s in st.nonzero:  # block(s) is a view of pi_k(g(s)), not a copy
+        k = st.class_of[s]
+        g = st.class_groups[k].ambient.index(st.group_coordinates[s])
+        assert np.shares_memory(dil.block(s), dil.pi[k])
+        assert np.array_equal(dil.block(s), dil.pi[k][g])
+    assert dil.block(st.zero).shape == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["random", "gram", "kraus"])
