@@ -7,14 +7,18 @@ into its own new directory (as `tools/bench_pairs.py` does), and every
 command of the benchmark's `cli_verbs` workload, as listed by `CliVerbs.argvs`
 in the head's `perfbench/workloads.py`, runs in both trees as
 `python -m semifourier.cli --seed S ...`.  Each command whose stdout, stderr
-or exit code differs is printed with a diff of its two reports.  Exits 1 if
-any report differs, else 0.
+or exit code differs is printed with a diff of its two reports and, when both
+stdouts are JSON reports of one layout, the largest change of a float in
+their results, in units in the last place (ulp) of the base result's largest
+float ([re, im] parts count apart).  Exits 1 if any report differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -56,6 +60,34 @@ def show_diff(base: tuple, head: tuple) -> None:
                 print(f"  ... {len(lines) - DIFF_LINES} more diff lines")
 
 
+def floats(obj, path=()):
+    """(path, value) of every float in a parsed JSON value, in key order; ints, bools
+    and strings are skipped, so dimensions and offsets do not count as entries."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from floats(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from floats(v, path + (i,))
+    elif isinstance(obj, float):
+        yield path, obj
+
+
+def ulp_movement(base: bytes, head: bytes) -> str | None:
+    """The largest float change between two JSON reports' results in ulps of the
+    base result's largest float, or None when either is not JSON or the layouts differ."""
+    try:
+        a, b = (list(floats(json.loads(out)["result"])) for out in (base, head))
+    except (ValueError, KeyError, TypeError):
+        return None
+    if [p for p, _ in a] != [p for p, _ in b]:
+        return None
+    largest = max((abs(x) for _, x in a), default=0.0)
+    change = max((abs(x - y) for (_, x), (_, y) in zip(a, b)), default=0.0)
+    return (f"largest float change {change:.3g} = {change / math.ulp(largest):.3g} ulp "
+            f"of the largest float {largest:.6g}")
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the parent")
@@ -78,6 +110,8 @@ def main() -> int:
                 if base != head:
                     differ += 1
                     print(f"DIFFERS --seed {cli_seed} {' '.join(argv)}", flush=True)
+                    movement = ulp_movement(base[1], head[1])
+                    print(f"  {movement or 'reports are not JSON results of one layout'}")
                     show_diff(base, head)
         print(f"{total - differ} of {total} CLI reports byte-identical, {differ} differ")
         return 1 if differ else 0
