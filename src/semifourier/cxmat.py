@@ -97,12 +97,15 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     is simply not PSD: the verdict needs defect <= tol * max-abs entry and
     min eigenvalue >= -tol * ||.||_2, so scaling the matrix leaves it
     unchanged.  This is the library's one PSD verdict.  Returns (verdict, min eigenvalue, hermitian
-    defect, ||.||_2).  A single square matrix takes the one-pass path ``_block_verdict``.
+    defect, ||.||_2).  A single square matrix, or a single stack with its mirrors and one
+    spectrum, takes the one-pass path ``_block_verdict``.
     """
-    if len(blocks) == 1 and mirrors is None:
+    if len(blocks) == 1:
         b = np.asarray(blocks[0], dtype=complex)
-        if b.ndim == 2 and b.shape[0] == b.shape[1]:
+        if mirrors is None and b.ndim == 2 and b.shape[0] == b.shape[1]:
             return _block_verdict(b, tol, None if spectra is None else spectra[0])
+        if mirrors is not None and spectra is not None and len(spectra) == 1 and spectra[0].ndim == 1:
+            return _block_verdict(b, tol, spectra[0], np.asarray(mirrors[0], dtype=complex))
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     if not all(np.isfinite(b).all() for b in blocks):
         raise NotFinite("matrix entries must be finite")
@@ -117,21 +120,22 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
 
 
-def _block_verdict(b: np.ndarray, tol: float, spectrum=None) -> tuple[bool, float, float, float]:
-    """``psd_verdict([b], tol, [spectrum])`` of one square complex matrix b, bit for bit.
+def _block_verdict(b: np.ndarray, tol: float, spectrum=None, mirror=None) -> tuple[bool, float, float, float]:
+    """``psd_verdict([b], tol, [spectrum], mirrors)`` of one square complex matrix b, or of one
+    stack b of entry blocks with its ``mirror`` and a 1-d ascending spectrum, bit for bit.
 
     |b| is taken once: its max is the scale and, being finite exactly when
     every entry is, also the finiteness check; only when it overflows or is
-    NaN are the entries themselves tested.  b^dagger is formed once for both
-    the defect and the Hermitized matrix whose spectrum is computed when
-    ``spectrum`` is omitted.
+    NaN are the entries themselves tested.  b^dagger (the mirror^dagger) is
+    formed once for both the defect and the Hermitized matrix whose spectrum
+    is computed when ``spectrum`` is omitted.
     """
     if not b.size:
         return True, 0.0, 0.0, 0.0
     scale = float(np.abs(b).max())
     if not math.isfinite(scale) and not np.isfinite(b).all():
         raise NotFinite("matrix entries must be finite")
-    bh = b.conj().T
+    bh = (b if mirror is None else mirror).conj().swapaxes(-1, -2)
     defect = float(np.abs(b - bh).max())
     if spectrum is None:
         spectrum = np.linalg.eigvalsh((b + bh) / 2.0)

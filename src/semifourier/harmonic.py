@@ -12,6 +12,7 @@ as in the rook-monoid FFT of Malandro and Rockmore (Trans. AMS 362, 2010).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -195,17 +196,37 @@ def fourier(f: MatrixMap, rep: InducedRep) -> BlockTensor:
     return fourier_transform_all(f, [rep]).transforms[0]
 
 
+def grid_transforms(entries: np.ndarray, dims, values: np.ndarray) -> list[np.ndarray]:
+    """FT(rho)[(a, i, p), (b, j, q)] = sum_g rho(g)_ij values[g, a, b]_pq for irreps rho of one
+    class group, with values[g, a, b] the value at grid[a, b, g] of the class's grid
+    (``InverseStructure.class_grids``).
+
+    ``entries`` holds the entries of every rho side by side, row (rho, i, j) being
+    rho(g)_ij over g, and ``dims`` their dimensions, so all transforms come from one
+    (sum d^2, |G|) . (|G|, r^2 n^2) product.  They are returned as one (m, r d n, r d n)
+    stack per run of m consecutive irreps of one dimension d.
+    """
+    order, r, _, n, _ = values.shape
+    t = entries @ values.reshape(order, -1)
+    out, rows = [], 0
+    for d, run in itertools.groupby(dims):
+        m = len(list(run))
+        block = t[rows : rows + m * d * d].reshape(m, d, d, r, r, n, n)
+        out.append(block.transpose(0, 3, 1, 5, 4, 2, 6).reshape(m, r * d * n, r * d * n))
+        rows += m * d * d
+    return out
+
+
 def fourier_transform_all(f: MatrixMap, reps: list[InducedRep]) -> FourierData:
     """The transform at every irrep of reps, from one change to the groupoid basis:
-    FT(sigma)[(a, i, p), (b, j, q)] = sum_g rho(g)_ij PhiT(floor(p_a g p_b^-1))_pq,
-    one (d^2, |G|) . (|G|, r^2 n^2) product, then (U (x) I) FT (U^dagger (x) I)."""
+    FT(sigma)[(a, i, p), (b, j, q)] = sum_g rho(g)_ij PhiT(floor(p_a g p_b^-1))_pq
+    (``grid_transforms``), then (U (x) I) FT (U^dagger (x) I)."""
     if not all(f.structure.same_semigroup(st) for st in {id(r.structure): r.structure for r in reps}.values()):
         raise SemigroupMismatch("map and representation live on different semigroups")
     vals, n, out = as_groupoid(f).values, f.dim, []
     for rep in reps:
-        (r, _, order), d = rep.grid.shape, rep.group_rep.dim
-        t = rep.group_rep.matrices.reshape(order, d * d).T @ vals[rep.grid.transpose(2, 0, 1)].reshape(order, -1)
-        t = t.reshape(d, d, r, r, n, n).transpose(2, 0, 4, 3, 1, 5).reshape(rep.dim * n, rep.dim * n)
+        entries = rep.group_rep.matrices.reshape(len(rep.group_rep.matrices), -1).T
+        t = grid_transforms(entries, [rep.group_rep.dim], vals[rep.grid.transpose(2, 0, 1)])[0][0]
         if rep.basis is not None:
             u = np.kron(rep.basis, np.eye(n))
             t = u @ t @ u.conj().T

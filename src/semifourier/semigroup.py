@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import (
     SizeLimit,
     ZeroNotAbsorbing,
 )
+
+if TYPE_CHECKING:
+    from .grouprep import GroupRep
 
 MAX_SYMMETRIC_DEGREE = 4  # |I_4| = 209 elements; degree 5 would be 1546
 MAX_ORDER = 256  # elements in a semigroup; I_4 has 209, matrix_units:15 has 226
@@ -391,6 +395,26 @@ class InverseStructure:
         return tuple(maximal_subgroup(self, e) for e in self.base_idempotents)
 
     @cached_property
+    def class_irreps(self) -> tuple[tuple[GroupRep, ...] | None, ...]:
+        """``unitary_irreps(G_k, seed=0)`` per group of ``class_groups``, built once on first
+        use; None for a group above ``MAX_GROUP_ORDER``, whose irreps are never built.  The one
+        family that natural PD (``unit_isotypic_bases``) and blocks PD split by."""
+        from .grouprep import MAX_GROUP_ORDER, unitary_irreps
+
+        return tuple(tuple(unitary_irreps(g, seed=0)) if g.order <= MAX_GROUP_ORDER else None
+                     for g in self.class_groups)
+
+    @cached_property
+    def class_irrep_entries(self) -> tuple[np.ndarray | None, ...]:
+        """Per class, the entries of every irrep of ``class_irreps`` side by side: the
+        (sum d^2, |G_k|) matrix whose row (rho, i, j) is rho(g)_ij over g, or None."""
+        out = []
+        for group, irreps in zip(self.class_groups, self.class_irreps):
+            out.append(None if irreps is None else
+                       np.concatenate([rho.matrices.reshape(group.order, -1) for rho in irreps], axis=1).T)
+        return tuple(out)
+
+    @cached_property
     def class_products(self) -> tuple[np.ndarray, ...]:
         """Per class k, prod[b, h, c, g] = grid[b, c, h^-1 g] with grid = ``class_grids[k]``:
         s^-1 t for s = grid[a, b, h] and t = grid[a, c, g], the same for every R-class a."""
@@ -428,25 +452,28 @@ class InverseStructure:
         multiplication by g in G permutes the nonzero elements and keeps
         s^-1 t, since (gs)^-1 (gt) = s^-1 t, so it commutes with the natural
         PD matrix; ``grouprep.isotypic_bases`` gives the Q_rho that split it.
-        The irreps are ``unitary_irreps(G, seed=0)`` whatever seed the caller
-        uses.  Without an identity, or with |G| above ``MAX_GROUP_ORDER``, G
-        is the trivial group and its one Q_rho spans every nonzero element.
+        G is the class group of the identity, the only idempotent of its
+        D-class, and its irreps are those of ``class_irreps`` whatever seed the
+        caller uses.  Without an identity, or with |G| above
+        ``MAX_GROUP_ORDER``, G is the trivial group and its one Q_rho spans
+        every nonzero element.
         """
-        from .grouprep import MAX_GROUP_ORDER, isotypic_bases, unitary_irreps
+        from .grouprep import isotypic_bases, unitary_irreps
 
         t, nz = self.table.table, np.asarray(self.nonzero, dtype=np.intp)
         everything = np.arange(self.table.order)
         one = next((e for e in self.idempotents
                     if np.array_equal(t[e], everything) and np.array_equal(t[:, e], everything)), None)
-        if one is not None and np.sum((self.dom == one) & (self.ran == one)) <= MAX_GROUP_ORDER:
-            group = maximal_subgroup(self, one)
+        k = None if one is None else int(self.class_of[one])
+        if k is not None and self.class_irreps[k] is not None:
+            irreps = self.class_irreps[k]
             pos = np.zeros(self.table.order, dtype=np.intp)
             pos[nz] = np.arange(len(nz))
-            perms = pos[t[np.asarray(group.ambient)][:, nz]]
+            perms = pos[t[np.asarray(self.class_groups[k].ambient)][:, nz]]
         else:
-            group = cyclic_group_table(1)
+            irreps = unitary_irreps(cyclic_group_table(1), seed=0)
             perms = np.arange(len(nz))[None, :]
-        return isotypic_bases(unitary_irreps(group, seed=0), perms)
+        return isotypic_bases(irreps, perms)
 
     @cached_property
     def unit_isotypic_lifts(self) -> tuple[tuple[int, np.ndarray], ...]:

@@ -172,6 +172,29 @@ def test_one_element_semigroup_gets_a_verdict(tmp_path, capsys):
     assert (code, json.loads(err)["error"]["kind"]) == (4, "WrongSemigroup")
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_map_verb_on_the_one_element_semigroup_writes_strict_json(tmp_path, capsys):
+    # blocks-mode PD once reported an empty worst witness as Infinity
+    table = {"elements": ["z"], "zero": "z", "table": [[0]]}
+    path = tmp_path / "zmap.json"
+    path.write_text(json.dumps({"semigroup": table, "target_dim": 2, "basis": "groupoid", "values": {}}))
+    for argv in (["fourier", path], ["invert", path], ["plancherel", path, path], ["convolve", path, path],
+                 ["check", path, "--which", "pd"], ["check", path, "--which", "bochner"], ["stinespring", path]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        strict_json(out)
+    modes = strict_json(run_cli(["check", path, "--which", "pd"], capsys)[1])["result"]["modes"]
+    assert {m: r["witness"] for m, r in modes.items()} == {"natural": 0.0, "groupoid": 0.0, "blocks": 0.0}
+    code, out, err = run_cli(["check", path, "--which", "cp"], capsys)  # not matrix units
+    assert (code, out, strict_json(err)["error"]["kind"]) == (4, "", "WrongSemigroup")
+
+
 def test_non_finite_map_is_a_precondition_failure(tmp_path, capsys):
     # NaN is valid JSON to Python's reader; the PSD verdict refuses it with a typed error
     obj = json.loads((SAMPLE_DATA / "gram_i2_seed0.json").read_text())
