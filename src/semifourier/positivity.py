@@ -138,13 +138,13 @@ def _class_verdicts(f: MatrixMap, tol: float) -> list[tuple[bool, float, float, 
     st, vals, out = f.structure, eval_groupoid(f), []
     for grid, prod, group, irreps, entries in zip(st.class_grids, st.class_products, st.class_groups,
                                                   st.class_irreps, st.class_irrep_entries):
-        if irreps is None or len(irreps) == 1:
+        if irreps is None:
             g = _class_gram(vals, prod)
             out.append(psd_verdict([g], tol, [np.linalg.eigvalsh(hermitized(g))]))
             continue
         x = vals[grid.transpose(2, 0, 1)]          # Lambda(grid[a, b, g]) at [g, a, b]
-        mirror = x[group.inv].swapaxes(1, 2)       # Lambda(grid[b, a, g^-1]), grid[a, b, g]^-1
-        # the transforms of the Hermitized values are the Hermitized transforms
+        mirror = x[group.inv].swapaxes(1, 2)       # Lambda(grid[a, b, g]^-1) = Lambda(grid[b, a, g^-1])
+        # rho is unitary, so the transforms of the Hermitized values are the Hermitized transforms
         h = (x + mirror.conj().swapaxes(-1, -2)) / 2.0
         transforms = grid_transforms(entries, [rho.dim for rho in irreps], h)
         w = np.concatenate([np.linalg.eigvalsh(t).ravel() for t in transforms])

@@ -397,11 +397,12 @@ class InverseStructure:
     @cached_property
     def class_irreps(self) -> tuple[tuple[GroupRep, ...] | None, ...]:
         """``unitary_irreps(G_k, seed=0)`` per group of ``class_groups``, built once on first
-        use; None for a group above ``MAX_GROUP_ORDER``, whose irreps are never built.  The one
-        family that natural PD (``unit_isotypic_bases``) and blocks PD split by."""
+        use; None for the trivial group, whose one irrep splits nothing, and for a group above
+        ``MAX_GROUP_ORDER``, whose irreps are never built.  The one family that natural PD
+        (``unit_isotypic_bases``) and blocks PD split by."""
         from .grouprep import MAX_GROUP_ORDER, unitary_irreps
 
-        return tuple(tuple(unitary_irreps(g, seed=0)) if g.order <= MAX_GROUP_ORDER else None
+        return tuple(tuple(unitary_irreps(g, seed=0)) if 1 < g.order <= MAX_GROUP_ORDER else None
                      for g in self.class_groups)
 
     @cached_property
@@ -455,8 +456,8 @@ class InverseStructure:
         G is the class group of the identity, the only idempotent of its
         D-class, and its irreps are those of ``class_irreps`` whatever seed the
         caller uses.  Without an identity, or with |G| above
-        ``MAX_GROUP_ORDER``, G is the trivial group and its one Q_rho spans
-        every nonzero element.
+        ``MAX_GROUP_ORDER``, G is taken as the trivial group, and its one Q_rho
+        spans every nonzero element.
         """
         from .grouprep import isotypic_bases, unitary_irreps
 
