@@ -200,6 +200,23 @@ def test_single_block_path_is_the_general_verdict_bit_for_bit(data, tol):
         assert same(psd_verdict([b], tol, [w]), psd_verdict([b[None]], tol, [w[None]]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([DEFAULT_TOL, 1e-3, 1.0]))
+def test_single_stack_with_mirrors_is_the_general_verdict_bit_for_bit(data, tol):
+    # blocks mode judges a class by its (|G|, r, r, n, n) values, their mirrors and one
+    # spectrum; two copies of the spectrum take psd_verdict's general path
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g, r, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    b = 10.0 ** data.draw(st.floats(-12, 12)) * rand(rng, g * r * r * n, n).reshape(g, r, r, n, n)
+    mirror = b.swapaxes(1, 2).conj().swapaxes(-1, -2) if data.draw(st.booleans()) else rng.permutation(b)
+    w = np.sort(rng.standard_normal(g * r * n))
+    general = psd_verdict([b], tol, [w, w], mirrors=[mirror])
+    assert psd_verdict([b], tol, [w], mirrors=[mirror]) == _block_verdict(b, tol, w, mirror) == general
+    if b.size:  # a given spectrum is read as given, NaN included
+        w[data.draw(st.sampled_from([0, -1]))] = np.nan
+        assert same(psd_verdict([b], tol, [w], mirrors=[mirror]), psd_verdict([b], tol, [w, w], mirrors=[mirror]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
 def test_single_block_path_raises_not_finite(bad):
     b = np.eye(3, dtype=complex)
