@@ -90,6 +90,8 @@ def unitary_irreps(group: GroupTable, seed: int = 0) -> list[GroupRep]:
     n = group.order
     if n > MAX_GROUP_ORDER:
         raise SizeLimit(f"group order {n} exceeds {MAX_GROUP_ORDER}")
+    if n == 1:  # the trivial irrep: nothing to split, so no random draw (nor numpy.random import)
+        return [GroupRep(group, 1, np.ones((1, 1, 1), dtype=complex))]
     last = None
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt, n])

@@ -26,7 +26,7 @@ from .errors import (
     SemigroupMismatch,
     WrongBasis,
 )
-from .grouprep import GroupRep, unitary_irreps
+from .grouprep import GroupRep
 from .semigroup import InverseStructure
 
 NATURAL = "natural"
@@ -145,7 +145,7 @@ class InducedRep:
         """r_k * |G_{e_k}| of the underlying class: ``InverseStructure.class_weights``."""
         return int(self.structure.class_weights[self.class_index])
 
-    @cached_property
+    @property
     def characters(self) -> np.ndarray:
         """chi_sigma(floor(s)) = tr sigma(floor(s)): rho's character where a = b, else 0."""
         chars = np.zeros(self.structure.table.order, dtype=complex)
@@ -167,13 +167,19 @@ class InducedRep:
         return out
 
 
-def induced_irreps(s: InverseStructure, seed: int = 0) -> list[InducedRep]:
-    """The complete induced family, ordered by (class, subgroup irrep)."""
-    return [
-        InducedRep(s, k, rho, s.ranks[k] * rho.dim, f"D{k}.{i}", s.class_grids[k])
-        for k, group in enumerate(s.class_groups)
-        for i, rho in enumerate(unitary_irreps(group, seed=seed))
-    ]
+def induced_irreps(s: InverseStructure, seed: int = 0) -> tuple[InducedRep, ...]:
+    """The complete induced family, ordered by (class, subgroup irrep): the structure's own
+    tuple for this seed, induced from ``InverseStructure.class_irreps`` and checked complete
+    once, when first built.  Racing callers may both build it, but each gets the one kept."""
+    if seed not in s._families:
+        family = tuple(
+            InducedRep(s, k, rho, s.ranks[k] * rho.dim, f"D{k}.{i}", s.class_grids[k])
+            for k in range(len(s.dclasses))
+            for i, rho in enumerate(s.class_irreps(k, seed))
+        )
+        check_irreps_complete(s, family)
+        s._families.setdefault(seed, family)
+    return s._families[seed]
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,10 @@ class FourierData:
 
     @cached_property
     def checked_complete(self) -> bool:
-        """check_irreps_complete, run once: a failing family raises and caches nothing."""
-        check_irreps_complete(self.map.structure, self.reps)
+        """True once reps is known complete, else IncompleteIrrepSet: a family ``induced_irreps``
+        kept passes as it is, any other (a list, ``conjugated_rep`` output) is checked once here."""
+        if not any(self.reps is own for own in self.map.structure._families.values()):
+            check_irreps_complete(self.map.structure, self.reps)
         return True
 
 
@@ -312,14 +320,14 @@ def plancherel_check(
     """
     check_same_semigroup(f, g)
     st, n = f.structure, f.dim
-    check_irreps_complete(st, reps)
     f, g = as_groupoid(f), as_groupoid(g)
+    tf, tg = (fourier_transform_all(x, reps) for x in (f, g))
+    tf.checked_complete  # raises IncompleteIrrepSet unless the family is complete
     nz = np.asarray(st.nonzero, dtype=np.intp)
     w = st.class_weights[st.class_of[nz]]
     lhs = np.einsum("s,sij,sjk->ik", w, f.values[st.inv[nz]], g.values[nz])
     rhs = np.zeros((n, n), dtype=complex)
-    tf, tg = (fourier_transform_all(x, reps).transforms for x in (f, g))
-    for rep, t1, t2 in zip(reps, tf, tg):
+    for rep, t1, t2 in zip(tf.reps, tf.transforms, tg.transforms):
         prod = (t1.matrix @ t2.matrix).reshape(rep.dim, n, rep.dim, n)
         rhs += rep.dim * np.einsum("kikj->ij", prod)
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))

@@ -27,13 +27,13 @@ from .errors import (
     WrongBasis,
     WrongSemigroup,
 )
+from .grouprep import MAX_GROUP_ORDER
 from .harmonic import (
     GROUPOID,
     NATURAL,
     InducedRep,
     MatrixMap,
     as_groupoid,
-    check_irreps_complete,
     combine,
     fourier_transform_all,
     grid_transforms,
@@ -126,7 +126,7 @@ def _class_verdicts(f: MatrixMap, tol: float) -> list[tuple[bool, float, float, 
 
     The block of class k is [Lambda(grid[b, c, h^-1 g])] over rows (b, h) and
     columns (c, g): a group convolution on G_k, so for the unitary irreps rho
-    of ``class_irreps[k]`` it is unitarily equivalent to the direct sum of the
+    of ``class_irreps(k)`` it is unitarily equivalent to the direct sum of the
     class Fourier blocks FT(rho) (x) I_(d_rho) (``grid_transforms``;
     Gatermann-Parrilo symmetry reduction), and its Hermitized spectrum is
     theirs, each repeated d_rho times.  It holds Lambda(x) at (s, t) and
@@ -136,9 +136,8 @@ def _class_verdicts(f: MatrixMap, tol: float) -> list[tuple[bool, float, float, 
     a group above ``MAX_GROUP_ORDER`` are judged on the class block.
     """
     st, vals, out = f.structure, eval_groupoid(f), []
-    for grid, prod, group, irreps, entries in zip(st.class_grids, st.class_products, st.class_groups,
-                                                  st.class_irreps, st.class_irrep_entries):
-        if irreps is None:
+    for k, (grid, prod, group) in enumerate(zip(st.class_grids, st.class_products, st.class_groups)):
+        if not 1 < group.order <= MAX_GROUP_ORDER:
             g = _class_gram(vals, prod)
             out.append(psd_verdict([g], tol, [np.linalg.eigvalsh(hermitized(g))]))
             continue
@@ -146,6 +145,8 @@ def _class_verdicts(f: MatrixMap, tol: float) -> list[tuple[bool, float, float, 
         mirror = x[group.inv].swapaxes(1, 2)       # Lambda(grid[a, b, g]^-1) = Lambda(grid[b, a, g^-1])
         # rho is unitary, so the transforms of the Hermitized values are the Hermitized transforms
         h = (x + mirror.conj().swapaxes(-1, -2)) / 2.0
+        irreps = st.class_irreps(k)
+        entries = np.concatenate([rho.matrices.reshape(group.order, -1) for rho in irreps], axis=1).T
         transforms = grid_transforms(entries, [rho.dim for rho in irreps], h)
         w = np.concatenate([np.linalg.eigvalsh(t).ravel() for t in transforms])
         out.append(psd_verdict([x], tol, [np.sort(w)], mirrors=[mirror]))
@@ -241,20 +242,16 @@ def bochner_check(
     A disagreement with both witnesses beyond 10 tol max(||G||_2, ||FT||_2),
     the norms the verdicts were judged against, raises InternalInconsistency
     (a bug signal); an incomplete family passed as reps, IncompleteIrrepSet.
+    Without reps the structure's own family at seed is used (``induced_irreps``).
     """
-    st = f.structure
-    if reps is None:
-        reps = induced_irreps(st, seed=seed)
-    else:
-        check_irreps_complete(st, reps)
     tilde = as_groupoid(f)
+    data = fourier_transform_all(tilde, induced_irreps(f.structure, seed) if reps is None else reps)
+    data.checked_complete  # raises IncompleteIrrepSet unless the family is complete
     grams = _class_grams(tilde)  # pd_check(tilde, "groupoid"), keeping its class blocks and spectra
     spectra = [np.linalg.eigvalsh(hermitized(g)) for g in grams]
     pd = PDSlice("groupoid", *psd_verdict(grams, tol, spectra))
     per, norms = [], [pd.norm]
-    all_ok = True
-    worst = np.inf
-    for rep, t in zip(reps, fourier_transform_all(tilde, reps).transforms):
+    for rep, t in zip(data.reps, data.transforms):
         # on a class with a trivial maximal subgroup the one transform is the class block
         # itself (matrix units: the Choi matrix), whose spectrum is then not computed twice
         k = rep.class_index
@@ -262,10 +259,9 @@ def bochner_check(
         ok, lo, _, norm2 = psd_verdict([t.matrix], tol, [spectra[k]] if same else None)
         per.append((rep.irrep_id, ok, lo))
         norms.append(norm2)
-        all_ok = all_ok and ok
-        worst = min(worst, lo)
-    report = BochnerReport(pd, tuple(per), all_ok, float(worst))
-    if pd.verdict != all_ok:
+    worst = min((lo for _, _, lo in per), default=0.0)  # psd_verdict's empty default
+    report = BochnerReport(pd, tuple(per), all(ok for _, ok, _ in per), float(worst))
+    if pd.verdict != report.transforms_verdict:
         band = bound(10.0 * tol, max(norms))
         if min(abs(pd.witness), abs(report.transforms_witness)) > band:
             raise InternalInconsistency(

@@ -13,7 +13,7 @@ idempotents: mu(s, t) = mu_E(ran s, ran t) for s <= t (B. Steinberg,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -335,6 +335,10 @@ class InverseStructure:
     ranks: tuple[int, ...]               # idempotents per class
     base_idempotents: tuple[int, ...]    # chosen e_k per class
     transversal_at: np.ndarray           # p_e at each nonzero idempotent e, z elsewhere
+    # kept on first use, never by inverse_structure: unitary_irreps(class_groups[k], seed) at
+    # (k, seed) (``class_irreps``) and the checked induced family at seed (``induced_irreps``)
+    _irreps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def zero(self) -> int:
@@ -394,26 +398,15 @@ class InverseStructure:
         axis of ``class_grids[k]``, with its own multiplication and inverse tables."""
         return tuple(maximal_subgroup(self, e) for e in self.base_idempotents)
 
-    @cached_property
-    def class_irreps(self) -> tuple[tuple[GroupRep, ...] | None, ...]:
-        """``unitary_irreps(G_k, seed=0)`` per group of ``class_groups``, built once on first
-        use; None for the trivial group, whose one irrep splits nothing, and for a group above
-        ``MAX_GROUP_ORDER``, whose irreps are never built.  The one family that natural PD
-        (``unit_isotypic_bases``) and blocks PD split by."""
-        from .grouprep import MAX_GROUP_ORDER, unitary_irreps
+    def class_irreps(self, k: int, seed: int = 0) -> tuple[GroupRep, ...]:
+        """``unitary_irreps(class_groups[k], seed)``, built on first use and kept per class and
+        seed: the group irreps that natural and blocks PD (at seed 0) and ``induced_irreps``
+        read.  Racing callers may both build it, but each gets the one finished tuple kept."""
+        if (k, seed) not in self._irreps:
+            from .grouprep import unitary_irreps
 
-        return tuple(tuple(unitary_irreps(g, seed=0)) if 1 < g.order <= MAX_GROUP_ORDER else None
-                     for g in self.class_groups)
-
-    @cached_property
-    def class_irrep_entries(self) -> tuple[np.ndarray | None, ...]:
-        """Per class, the entries of every irrep of ``class_irreps`` side by side: the
-        (sum d^2, |G_k|) matrix whose row (rho, i, j) is rho(g)_ij over g, or None."""
-        out = []
-        for group, irreps in zip(self.class_groups, self.class_irreps):
-            out.append(None if irreps is None else
-                       np.concatenate([rho.matrices.reshape(group.order, -1) for rho in irreps], axis=1).T)
-        return tuple(out)
+            self._irreps.setdefault((k, seed), tuple(unitary_irreps(self.class_groups[k], seed)))
+        return self._irreps[k, seed]
 
     @cached_property
     def class_products(self) -> tuple[np.ndarray, ...]:
@@ -454,20 +447,20 @@ class InverseStructure:
         s^-1 t, since (gs)^-1 (gt) = s^-1 t, so it commutes with the natural
         PD matrix; ``grouprep.isotypic_bases`` gives the Q_rho that split it.
         G is the class group of the identity, the only idempotent of its
-        D-class, and its irreps are those of ``class_irreps`` whatever seed the
+        D-class, and its irreps are ``class_irreps`` at seed 0 whatever seed the
         caller uses.  Without an identity, or with |G| above
         ``MAX_GROUP_ORDER``, G is taken as the trivial group, and its one Q_rho
         spans every nonzero element.
         """
-        from .grouprep import isotypic_bases, unitary_irreps
+        from .grouprep import MAX_GROUP_ORDER, isotypic_bases, unitary_irreps
 
         t, nz = self.table.table, np.asarray(self.nonzero, dtype=np.intp)
         everything = np.arange(self.table.order)
         one = next((e for e in self.idempotents
                     if np.array_equal(t[e], everything) and np.array_equal(t[:, e], everything)), None)
         k = None if one is None else int(self.class_of[one])
-        if k is not None and self.class_irreps[k] is not None:
-            irreps = self.class_irreps[k]
+        if k is not None and self.class_groups[k].order <= MAX_GROUP_ORDER:
+            irreps = self.class_irreps(k)
             pos = np.zeros(self.table.order, dtype=np.intp)
             pos[nz] = np.arange(len(nz))
             perms = pos[t[np.asarray(self.class_groups[k].ambient)][:, nz]]

@@ -445,6 +445,24 @@ def test_positivity_verbs_leave_numpy_ma_unimported():
     assert proc.stdout.strip() == "[0, 0, 0] False"
 
 
+def test_matrix_unit_verbs_leave_numpy_random_unimported():
+    # the trivial irrep of matrix units' class groups draws nothing, so no verb imports
+    # numpy.random (about 9 ms of a cold process) just to build it
+    kraus, transpose = (str(SAMPLE_DATA / name) for name in ("kraus_m2_seed1.json", "transpose_m2.json"))
+    code = ("import io, sys, contextlib\n"
+            "from semifourier.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in (['fourier', {kraus!r}], ['invert', {kraus!r}],\n"
+            f"             ['plancherel', {kraus!r}, {transpose!r}], ['convolve', {kraus!r}, {transpose!r}],\n"
+            f"             ['check', {kraus!r}, '--which', 'bochner'])]\n"
+            "print(codes, 'numpy.random' in sys.modules)\n")
+    pythonpath = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] False"
+
+
 def test_cpprobe_identity_rep(capsys):
     result = run_json(
         ["cpprobe", SAMPLE_DATA / "identity_rep_m2.json", "--trials", "40"], capsys

@@ -71,6 +71,19 @@ def test_trivial_group_irreps():
     assert np.allclose(reps[0].matrices, np.ones((1, 1, 1)))
 
 
+def test_trivial_irrep_is_the_splitting_result_bit_for_bit():
+    # the order-1 shortcut draws nothing, yet returns what splitting the regular rep gave
+    from semifourier.grouprep import _split_invariant
+
+    group = trivial_group()
+    for seed in range(4):
+        split = []
+        _split_invariant(group, np.eye(1, dtype=complex), np.random.default_rng([seed, 0, 1]), split)
+        (rep,) = unitary_irreps(group, seed)
+        assert rep.matrices.dtype == split[0].dtype and rep.matrices.shape == split[0].shape == (1, 1, 1)
+        assert rep.matrices.tobytes() == split[0].tobytes()
+
+
 def test_z2_characters():
     reps = unitary_irreps(cyclic_group_table(2))
     chars = sorted(tuple(np.round(r.characters.real, 8)) for r in reps)
@@ -112,6 +125,7 @@ def test_irreps_deterministic():
     b = unitary_irreps(s3_group(), seed=3)
     for x, y in zip(a, b):
         assert np.array_equal(x.matrices, y.matrices)
+        assert x.matrices is not y.matrices  # built afresh: structures keep irreps, unitary_irreps does not
 
 
 def test_schur_orthogonality():

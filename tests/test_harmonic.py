@@ -22,8 +22,8 @@ from semifourier.harmonic import (
     to_groupoid,
 )
 from semifourier.maps import choi, choi_invert, convolve
-from semifourier.positivity import random_unitary
-from semifourier.semigroup import SemigroupTable, inverse_structure, matrix_unit_index
+from semifourier.positivity import bochner_check, gram_pd_map, random_unitary
+from semifourier.semigroup import SemigroupTable, from_builtin, inverse_structure, matrix_unit_index
 
 from conftest import BUILTINS, get_irreps, get_structure
 
@@ -285,13 +285,17 @@ def test_inversion_checks_a_complete_family_once(i2, monkeypatch):
     calls = []
     check = harmonic.check_irreps_complete
     monkeypatch.setattr(harmonic, "check_irreps_complete", lambda *a: calls.append(1) or check(*a))
-    f = random_matrix_map(i2, 2, 8)
-    data = fourier_transform_all(f, get_irreps("builtin:symmetric_inverse:2"))
-    back = invert_to_map(data)
-    for s in i2.nonzero:
-        assert np.abs(fourier_invert(data, s) - back.values[s]).max() <= 1e-12
-    assert np.array_equal(invert_to_map(data).values, back.values)
-    assert len(calls) == 1
+    st = inverse_structure(i2.table)  # a structure that has built no family yet
+    f = random_matrix_map(st, 2, 8)
+    # the structure's own family is checked once, when induced_irreps builds it; a
+    # caller-made family (here a list) once per FourierData, however often it is inverted
+    for family, count in ((induced_irreps(st), 1), (list(induced_irreps(st)), 2)):
+        data = fourier_transform_all(f, family)
+        back = invert_to_map(data)
+        for s in st.nonzero:
+            assert np.abs(fourier_invert(data, s) - back.values[s]).max() <= 1e-12
+        assert np.array_equal(invert_to_map(data).values, back.values)
+        assert len(calls) == count
 
 
 def test_family_missing_a_dclass_is_rejected(i2):
@@ -326,6 +330,86 @@ def test_family_repeating_an_irrep_is_rejected():
         fourier_invert(data, st.nonzero[0])
     with pytest.raises(IncompleteIrrepSet):
         plancherel_check(f, f, twice)
+
+
+# --- one checked family per structure and seed ---------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_induced_irreps_is_the_structures_own_tuple(seed):
+    st = inverse_structure(from_builtin("builtin:symmetric_inverse:3"))
+    family = induced_irreps(st, seed)
+    assert isinstance(family, tuple) and induced_irreps(st, seed) is family
+    other = induced_irreps(inverse_structure(st.table), seed)  # one family per structure object
+    assert other is not family
+    assert all(np.array_equal(a.group_rep.matrices, b.group_rep.matrices) for a, b in zip(family, other))
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4",))
+def test_bochner_without_reps_is_bochner_on_the_structures_family(ref, seed):
+    st = get_structure(ref)
+    for f in (gram_pd_map(st, 2, seed=3), random_matrix_map(st, 2, 3)):
+        want = bochner_check(f, induced_irreps(st, seed))
+        assert (bochner_check(f) if seed == 0 else bochner_check(f, seed=seed)) == want
+
+
+def test_caller_made_families_are_checked_where_they_are_used(monkeypatch):
+    import semifourier.harmonic as harmonic
+
+    st = get_structure("builtin:symmetric_inverse:3")
+    own = induced_irreps(st)
+    conj = tuple(conjugated_rep(rep, random_unitary(rep.dim, seed=90 + i)) for i, rep in enumerate(own))
+    other = induced_irreps(inverse_structure(st.table))  # kept by another structure object
+    f, g = gram_pd_map(st, 2, seed=1), random_matrix_map(st, 2, 5)
+    calls = []
+    check = harmonic.check_irreps_complete
+    monkeypatch.setattr(harmonic, "check_irreps_complete", lambda *a: calls.append(1) or check(*a))
+    bochner_check(f, own)
+    plancherel_check(f, g, own)
+    invert_to_map(fourier_transform_all(f, own))
+    assert calls == []  # the structure's own family was checked when it was built
+    for family in (conj, list(own), other):
+        bochner_check(f, family)
+        plancherel_check(f, g, family)
+        invert_to_map(fourier_transform_all(f, family))
+    assert len(calls) == 9
+    mutated = list(own)
+    mutated.pop()  # a list can change between calls, so it is never trusted by identity
+    for use in (lambda: bochner_check(f, mutated), lambda: plancherel_check(f, g, mutated),
+                lambda: invert_to_map(fourier_transform_all(f, mutated))):
+        with pytest.raises(IncompleteIrrepSet):
+            use()
+
+
+def test_concurrent_callers_share_one_finished_family():
+    # a race may build the family twice, but every caller gets the one tuple kept, complete
+    import sys
+    import threading
+
+    st = inverse_structure(from_builtin("builtin:symmetric_inverse:3"))
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append(induced_irreps(st, 5))
+        except Exception as exc:  # recorded for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(got) == len(threads) and all(family is got[0] for family in got)
+    check_irreps_complete(st, list(got[0]))
+    kept = [rho for k in range(len(st.dclasses)) for rho in st.class_irreps(k, 5)]
+    assert all(rep.group_rep is rho for rep, rho in zip(got[0], kept, strict=True))
 
 
 @pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4",))

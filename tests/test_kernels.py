@@ -21,6 +21,7 @@ from semifourier.errors import (
     NotAssociative,
     NotPositiveDefinite,
     ReconstructionFailure,
+    SizeLimit,
     WrongBasis,
 )
 from semifourier.harmonic import (
@@ -1179,11 +1180,12 @@ def test_class_gram_spectrum_is_the_union_of_its_fourier_spectra(data, n, seed, 
                            else "builtin:symmetric_inverse:4")
     f = gram_pd_map(st, n, seed=seed) if data.draw(hst.booleans()) else random_map(st, n, seed, basis)
     vals = eval_groupoid(f)
-    for grid, irreps, entries, gram in zip(st.class_grids, st.class_irreps, st.class_irrep_entries,
-                                           _class_grams(f)):
-        if irreps is None:  # a trivial group: its one transform is the class block
+    for k, (grid, group, gram) in enumerate(zip(st.class_grids, st.class_groups, _class_grams(f))):
+        if group.order == 1:  # a trivial group: its one transform is the class block
             continue
         want = np.linalg.eigvalsh(hermitized(gram))
+        irreps = st.class_irreps(k)
+        entries = np.concatenate([rho.matrices.reshape(group.order, -1) for rho in irreps], axis=1).T
         got = class_fourier_spectra(vals, grid, entries, [rho.dim for rho in irreps])
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
@@ -1191,14 +1193,13 @@ def test_class_gram_spectrum_is_the_union_of_its_fourier_spectra(data, n, seed, 
 
 @pytest.mark.parametrize("kind", ["random", "gram"])
 @pytest.mark.parametrize("ref", PD_REFS)
-def test_pd_blocks_verdict_does_not_depend_on_the_irrep_seed(ref, kind):
+def test_pd_blocks_verdict_does_not_depend_on_the_irrep_seed(ref, kind, monkeypatch):
     f = pd_input(ref, 2, kind)
     want = pd_check(f, "blocks")
     for seed in range(1, 4):
         st = inverse_structure(f.structure.table)
-        # the seed-s family in place of the cached seed-0 one, before anything reads it
-        vars(st)["class_irreps"] = tuple(
-            tuple(unitary_irreps(g, seed)) if 1 < g.order <= MAX_GROUP_ORDER else None for g in st.class_groups)
+        # the seed-s irreps in place of the seed-0 ones that blocks PD asks the new structure for
+        monkeypatch.setattr(grouprep, "unitary_irreps", lambda g, _, s=seed: unitary_irreps(g, s))
         got = pd_check(MatrixMap(st, f.dim, f.basis, f.values), "blocks")
         assert (got.verdict, got.hermitian_defect) == (want.verdict, want.hermitian_defect)
         assert [(k, ok) for k, ok, _ in got.per_class] == [(k, ok) for k, ok, _ in want.per_class]
@@ -1208,7 +1209,8 @@ def test_pd_blocks_verdict_does_not_depend_on_the_irrep_seed(ref, kind):
 
 def test_pd_blocks_class_group_above_the_cap_takes_the_class_block():
     st = inverse_structure(from_builtin(f"builtin:cyclic_with_zero:{MAX_GROUP_ORDER + 2}"))
-    assert st.class_irreps == (None,)  # unitary_irreps would raise SizeLimit
+    with pytest.raises(SizeLimit):  # its irreps cannot be built, and pd_check never asks for them
+        st.class_irreps(0)
     for f in (random_map(st, 2, 3), gram_pd_map(st, 2, seed=3)):
         ok, lo, defect, norm2 = oracle_verdict(pd_matrix_groupoid(f, st.dclasses[0]))
         got = pd_check(f, "blocks")
@@ -1238,6 +1240,27 @@ def test_unitary_irreps_runs_once_per_class_group(monkeypatch):
             pd_check(f, mode)
     # S_4, S_3 and S_2; the trivial group of the rank-1 class needs no irreps
     assert sorted(calls) == sorted(g.ambient for g in st.class_groups if g.order > 1)
+
+
+def test_each_class_group_is_split_once_per_seed_across_pd_bochner_and_fourier(monkeypatch):
+    calls = []
+
+    def counted(group, seed=0):
+        calls.append((group.ambient, seed))
+        return unitary_irreps(group, seed)
+
+    monkeypatch.setattr(grouprep, "unitary_irreps", counted)
+    st = inverse_structure(from_builtin("builtin:symmetric_inverse:4"))
+    assert calls == []  # inverse_structure builds no irreps
+    f = gram_pd_map(st, 2, seed=5)
+    for _ in range(2):
+        pd_check(f, "natural")
+        pd_check(f, "blocks")
+        bochner_check(f)
+        bochner_check(f, seed=7919)
+        induced_irreps(st, 0)
+        fourier_transform_all(f, induced_irreps(st, 7919))
+    assert sorted(calls) == sorted((g.ambient, seed) for seed in (0, 7919) for g in st.class_groups)
 
 
 def test_fourier_transform_all_is_the_per_irrep_product_bit_for_bit():

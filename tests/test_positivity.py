@@ -40,7 +40,7 @@ from semifourier.positivity import (
     transpose_map,
     MatrixAlgebraRep,
 )
-from semifourier.semigroup import inverse_structure
+from semifourier.semigroup import SemigroupTable, inverse_structure
 
 from conftest import dense_pi, get_irreps, get_structure, inverse_subsemigroup
 
@@ -199,6 +199,14 @@ def test_bochner_far_from_the_boundary_disagreement_raises(i3, monkeypatch, scal
     monkeypatch.setattr(positivity, "fourier_transform_all", negated)
     with pytest.raises(InternalInconsistency):
         bochner_check(f, get_irreps("builtin:symmetric_inverse:3"))
+
+
+def test_bochner_on_the_one_element_semigroup_reports_zero_witnesses():
+    # {z} has no irrep; the empty worst transform witness is psd_verdict's 0.0, not inf
+    st = inverse_structure(SemigroupTable("z", ("z",), 0, [[0]]))
+    report = bochner_check(MatrixMap(st, 2, GROUPOID, np.zeros((1, 2, 2))))
+    assert report.transform_verdicts == () and report.transforms_verdict and report.agrees
+    assert report.transforms_witness == 0.0 and report.pd.witness == 0.0
 
 
 # --- scale covariance ------------------------------------------------------------------
