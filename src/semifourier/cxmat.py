@@ -86,61 +86,45 @@ def psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None) ->
     """PSD verdict of the block-diagonal matrix with these diagonal blocks.
 
     Each entry of ``blocks`` is a square matrix or a stack (k, m, m) of them;
-    ``spectra`` holds the ascending eigenvalues of each Hermitized entry and
-    is computed when omitted.  Off the blocks the matrix is zero, so its min
+    ``spectra[i]``, computed when ``spectra`` is omitted, is one 1-d array:
+    the ascending eigenvalues of the Hermitized ``blocks[i]`` (of a stack, of
+    all its matrices).  Off the blocks the matrix is zero, so its min
     eigenvalue, ||.||_2, hermitian defect and scale are the block-wise min /
     max of the same quantities.  A matrix too large to form may instead be
     given by a stack of n x n blocks that holds each of its entry blocks,
-    ``mirrors`` by the blocks at the transposed positions, and ``spectra`` by
-    the ascending eigenvalues of the pieces its Hermitized form splits into;
-    the defect is then max |block - mirror^dagger|.  A non-Hermitian matrix
-    is simply not PSD: the verdict needs defect <= tol * max-abs entry and
-    min eigenvalue >= -tol * ||.||_2, so scaling the matrix leaves it
-    unchanged.  This is the library's one PSD verdict.  Returns (verdict, min eigenvalue, hermitian
-    defect, ||.||_2).  A single square matrix, or a single stack with its mirrors and one
-    spectrum, takes the one-pass path ``_block_verdict``.
+    ``mirrors`` by the blocks at the transposed positions and ``spectra``
+    (which ``mirrors`` require); the defect is then max |block - mirror^dagger|.
+    A non-Hermitian matrix is simply not PSD: the verdict needs defect <= tol
+    * max-abs entry and min eigenvalue >= -tol * ||.||_2, so scaling the
+    matrix leaves it unchanged.  This is the library's one PSD verdict.
+    Returns (verdict, min eigenvalue, hermitian defect, ||.||_2).
+
+    Each block is read in one pass.  |b| is taken once: its max is the scale
+    and, being finite exactly when every entry is, also the finiteness check;
+    only when it overflows or is NaN are the entries themselves tested.
+    b^dagger (the mirror^dagger) is formed once for both the defect and the
+    Hermitized matrix.  The spectrum's ends give the min eigenvalue and
+    ||.||_2, the larger of their moduli (NaN if either end is NaN).
     """
-    if len(blocks) == 1:
-        b = np.asarray(blocks[0], dtype=complex)
-        if mirrors is None and b.ndim == 2 and b.shape[0] == b.shape[1]:
-            return _block_verdict(b, tol, None if spectra is None else spectra[0])
-        if mirrors is not None and spectra is not None and len(spectra) == 1 and spectra[0].ndim == 1:
-            return _block_verdict(b, tol, spectra[0], np.asarray(mirrors[0], dtype=complex))
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise NotFinite("matrix entries must be finite")
-    if spectra is None:
-        spectra = [np.linalg.eigvalsh(hermitized(b)) for b in blocks]
-    pairs = [(b, m) for b, m in zip(blocks, blocks if mirrors is None else mirrors) if b.size]
-    defect = max((float(np.abs(b - m.conj().swapaxes(-1, -2)).max()) for b, m in pairs), default=0.0)
-    scale = max((float(np.abs(b).max()) for b, _ in pairs), default=0.0)
-    spectra = [w for w in spectra if w.size]
-    lo = min((float(w[..., 0].min()) for w in spectra), default=0.0)
-    norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for w in spectra), default=0.0)
-    return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
-
-
-def _block_verdict(b: np.ndarray, tol: float, spectrum=None, mirror=None) -> tuple[bool, float, float, float]:
-    """``psd_verdict([b], tol, [spectrum], mirrors)`` of one square complex matrix b, or of one
-    stack b of entry blocks with its ``mirror`` and a 1-d ascending spectrum, bit for bit.
-
-    |b| is taken once: its max is the scale and, being finite exactly when
-    every entry is, also the finiteness check; only when it overflows or is
-    NaN are the entries themselves tested.  b^dagger (the mirror^dagger) is
-    formed once for both the defect and the Hermitized matrix whose spectrum
-    is computed when ``spectrum`` is omitted.
-    """
-    if not b.size:
-        return True, 0.0, 0.0, 0.0
-    scale = float(np.abs(b).max())
-    if not math.isfinite(scale) and not np.isfinite(b).all():
-        raise NotFinite("matrix entries must be finite")
-    bh = (b if mirror is None else mirror).conj().swapaxes(-1, -2)
-    defect = float(np.abs(b - bh).max())
-    if spectrum is None:
-        spectrum = np.linalg.eigvalsh((b + bh) / 2.0)
-    lo, hi = float(spectrum[0]), float(spectrum[-1])
-    norm2 = float(np.maximum(abs(lo), abs(hi)))  # NaN-propagating, as the general path's max
+    per = []  # (defect, scale, min eigenvalue, ||.||_2) of each nonempty block
+    for i, b in enumerate(blocks):
+        b = np.asarray(b, dtype=complex)
+        if not b.size:
+            continue
+        scale = float(np.abs(b).max())
+        if not math.isfinite(scale) and not np.isfinite(b).all():
+            raise NotFinite("matrix entries must be finite")
+        bh = (b if mirrors is None else mirrors[i]).conj().swapaxes(-1, -2)
+        if spectra is None:
+            w = np.linalg.eigvalsh((b + bh) / 2.0).ravel()
+            w.sort(kind="stable")  # merges a stack's rows; one matrix's spectrum stays as it is
+        else:
+            w = spectra[i]
+        lo, hi = float(w[0]), float(w[-1])
+        norm2 = abs(lo) if abs(lo) > abs(hi) or lo != lo else abs(hi)
+        per.append((float(np.abs(b - bh).max()), scale, lo, norm2))
+    defects, scales, los, norms = zip(*per) if per else [(0.0,)] * 4  # no nonempty block: the zero matrix
+    defect, scale, lo, norm2 = max(defects), max(scales), min(los), max(norms)
     return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
 
 

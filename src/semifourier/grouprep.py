@@ -27,7 +27,10 @@ class GroupRep:
 
     group: GroupTable
     dim: int
-    matrices: np.ndarray  # (|G|, d, d)
+    matrices: np.ndarray  # (|G|, d, d), read-only
+
+    def __post_init__(self):
+        self.matrices.setflags(write=False)
 
     @property
     def characters(self) -> np.ndarray:

@@ -164,6 +164,7 @@ class InducedRep:
     def matrices(self) -> np.ndarray:  # (|S|, dim, dim)
         out = np.zeros((self.structure.table.order, self.dim, self.dim), dtype=complex)
         out[self.grid.ravel()] = self.class_matrices()
+        out.setflags(write=False)
         return out
 
 
@@ -356,4 +357,6 @@ def conjugated_rep(rep: InducedRep, u: np.ndarray) -> InducedRep:
     """The equivalent irrep U sigma U^dagger (U unitary keeps the family unitary)."""
     if u.shape != (rep.dim, rep.dim):
         raise DimensionMismatch("conjugator has wrong shape")
-    return replace(rep, basis=u if rep.basis is None else u @ rep.basis)
+    basis = np.array(u) if rep.basis is None else u @ rep.basis  # a copy, kept read-only
+    basis.setflags(write=False)
+    return replace(rep, basis=basis)

@@ -24,13 +24,10 @@ def check_dim(n: int, what: str) -> None:
         raise SizeLimit(f"{what} {n} exceeds the cap {MAX_DIM}")
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def matrix_to_json(m) -> list[list[list[float]]]:
+def matrix_to_json(m) -> list:
+    """[re, im] pairs of a complex matrix as row-major nested lists, or of each matrix in a stack."""
     a = np.asarray(m, dtype=complex)
-    return [[complex_to_json(v) for v in row] for row in a]
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -73,14 +70,12 @@ def resolve_semigroup(ref, base_dir: Path | None = None) -> SemigroupTable:
 
 
 def map_to_json(f: MatrixMap, semigroup_ref: str | None = None) -> dict:
-    t = f.structure.table
+    t, values = f.structure.table, matrix_to_json(f.values)
     return {
         "semigroup": semigroup_ref if semigroup_ref is not None else semigroup_to_json(t),
         "target_dim": f.dim,
         "basis": f.basis,
-        "values": {
-            t.element_names[s]: matrix_to_json(f.values[s]) for s in f.structure.nonzero
-        },
+        "values": {t.element_names[s]: values[s] for s in f.structure.nonzero},
     }
 
 
@@ -114,14 +109,11 @@ def save_map(f: MatrixMap, path: str | Path, semigroup_ref: str | None = None) -
 
 
 def rep_to_json(rho: MatrixAlgebraRep) -> dict:
+    mats = matrix_to_json(rho.matrices)
     return {
         "source_dim": rho.m,
         "rep_dim": rho.dim,
-        "matrices": {
-            f"e_{i + 1}_{j + 1}": matrix_to_json(rho.matrices[i, j])
-            for i in range(rho.m)
-            for j in range(rho.m)
-        },
+        "matrices": {f"e_{i + 1}_{j + 1}": mats[i][j] for i in range(rho.m) for j in range(rho.m)},
     }
 
 
@@ -145,13 +137,14 @@ def load_rep(path: str | Path) -> MatrixAlgebraRep:
 
 
 def dilation_to_json(d: Dilation) -> dict:
-    st, names = d.structure, d.structure.table.element_names
+    st, names, k = d.structure, d.structure.table.element_names, d.structure.class_of
+    pi = [matrix_to_json(p) for p in d.pi]  # pi(s) = pi_k(g(s)), read as ``Dilation.block`` reads it
     return {
         "dilation_dim": d.dim,
         "summands": {names[e]: {"dim": int(d.dims[e]), "offset": int(d.offsets[e])}
                      for e in st.idempotents},
         "v": matrix_to_json(d.v),
-        "pi": {names[s]: matrix_to_json(d.block(s)) for s in st.nonzero},
+        "pi": {names[s]: pi[k[s]][st.grid_index[s] % len(pi[k[s]])] for s in st.nonzero},
         "residuals": {
             "reconstruction": d.reconstruction_residual,
             "identity": d.identity_residual,

@@ -138,8 +138,7 @@ def _class_verdicts(f: MatrixMap, tol: float) -> list[tuple[bool, float, float, 
     st, vals, out = f.structure, eval_groupoid(f), []
     for k, (grid, prod, group) in enumerate(zip(st.class_grids, st.class_products, st.class_groups)):
         if not 1 < group.order <= MAX_GROUP_ORDER:
-            g = _class_gram(vals, prod)
-            out.append(psd_verdict([g], tol, [np.linalg.eigvalsh(hermitized(g))]))
+            out.append(psd_verdict([_class_gram(vals, prod)], tol))
             continue
         x = vals[grid.transpose(2, 0, 1)]          # Lambda(grid[a, b, g]) at [g, a, b]
         mirror = x[group.inv].swapaxes(1, 2)       # Lambda(grid[a, b, g]^-1) = Lambda(grid[b, a, g^-1])
@@ -201,8 +200,8 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
     if mode == "natural" and not st.discrete_order:
         # the entries of N: Lambda(u) at each nonzero u = ran(u)^-1 u, and 0 = Lambda(z)
         vals = eval_natural(f)
-        spectra = [w for _, w in _natural_spectra(f)]
-        return PDSlice(mode, *psd_verdict([vals], tol, spectra, mirrors=[vals[st.inv]]))
+        spectrum = np.sort(np.concatenate([w for _, w in _natural_spectra(f)]), kind="stable")
+        return PDSlice(mode, *psd_verdict([vals], tol, [spectrum], mirrors=[vals[st.inv]]))
     if mode == "blocks":
         per = _class_verdicts(f, tol)  # one per class, in class order
         verdict = all(ok for ok, _, _, _ in per)
@@ -210,9 +209,7 @@ def pd_check(f: MatrixMap, mode: str = "natural", tol: float = DEFAULT_TOL) -> P
         worst_defect, norm = (max((p[i] for p in per), default=0.0) for i in (2, 3))
         return PDSlice(mode, verdict, float(worst), worst_defect, norm,
                        tuple((k, ok, lo) for k, (ok, lo, _, _) in enumerate(per)))
-    grams = _class_grams(f)
-    spectra = [np.linalg.eigvalsh(hermitized(g)) for g in grams]
-    return PDSlice(mode, *psd_verdict(grams, tol, spectra))
+    return PDSlice(mode, *psd_verdict(_class_grams(f), tol))
 
 
 # --- Bochner ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semifourier.cxmat import (
     DEFAULT_TOL,
     BlockTensor,
-    _block_verdict,
+    bound,
     hermitized,
     is_psd,
     kron,
@@ -185,36 +185,94 @@ def same(a, b) -> bool:
     return len(a) == len(b) and all(x == y or (x != x and y != y) for x, y in zip(a, b))
 
 
+def oracle_psd_verdict(blocks, tol: float = DEFAULT_TOL, spectra=None, mirrors=None):
+    """Reference PSD verdict: every block checked finite first, then the min / max of its
+    spectrum's ends, defect and scale over the nonempty blocks, as generators in block order.
+
+    A spectrum may be 1-d or one ascending row per matrix of a stack.
+    """
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise NotFinite("matrix entries must be finite")
+    if spectra is None:
+        spectra = [np.linalg.eigvalsh(hermitized(b)) for b in blocks]
+    pairs = [(b, m) for b, m in zip(blocks, blocks if mirrors is None else mirrors) if b.size]
+    defect = max((float(np.abs(b - m.conj().swapaxes(-1, -2)).max()) for b, m in pairs), default=0.0)
+    scale = max((float(np.abs(b).max()) for b, _ in pairs), default=0.0)
+    spectra = [w for w in spectra if w.size]
+    lo = min((float(w[..., 0].min()) for w in spectra), default=0.0)
+    norm2 = max((float(np.abs(w[..., [0, -1]]).max()) for w in spectra), default=0.0)
+    return defect <= bound(tol, scale) and lo >= -bound(tol, norm2), lo, defect, norm2
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), tol=st.sampled_from([DEFAULT_TOL, 1e-3, 1.0]))
 def test_single_block_path_is_the_general_verdict_bit_for_bit(data, tol):
-    # a stack of one block takes psd_verdict's general path
+    # a square block and the stack of it alone are judged as the oracle judges the block
     b = drawn_block(data)
-    general = psd_verdict([b[None]], tol)
-    assert _block_verdict(b, tol) == general and psd_verdict([b], tol) == general
+    general = oracle_psd_verdict([b], tol)
+    assert psd_verdict([b], tol) == psd_verdict([b[None]], tol) == general
     w = np.linalg.eigvalsh(hermitized(b))
-    assert psd_verdict([b], tol, [w]) == psd_verdict([b[None]], tol, [w[None]]) == general
+    assert psd_verdict([b], tol, [w]) == psd_verdict([b[None]], tol, [w]) == general
     if b.size:  # a given spectrum is read as given, NaN included
         w = w.copy()
         w[data.draw(st.sampled_from([0, -1]))] = np.nan
-        assert same(psd_verdict([b], tol, [w]), psd_verdict([b[None]], tol, [w[None]]))
+        assert same(psd_verdict([b], tol, [w]), oracle_psd_verdict([b], tol, [w]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), tol=st.sampled_from([DEFAULT_TOL, 1e-3, 1.0]))
 def test_single_stack_with_mirrors_is_the_general_verdict_bit_for_bit(data, tol):
-    # blocks mode judges a class by its (|G|, r, r, n, n) values, their mirrors and one
-    # spectrum; two copies of the spectrum take psd_verdict's general path
+    # blocks mode judges a class by its (|G|, r, r, n, n) values, their mirrors and one spectrum
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g, r, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     b = 10.0 ** data.draw(st.floats(-12, 12)) * rand(rng, g * r * r * n, n).reshape(g, r, r, n, n)
     mirror = b.swapaxes(1, 2).conj().swapaxes(-1, -2) if data.draw(st.booleans()) else rng.permutation(b)
     w = np.sort(rng.standard_normal(g * r * n))
-    general = psd_verdict([b], tol, [w, w], mirrors=[mirror])
-    assert psd_verdict([b], tol, [w], mirrors=[mirror]) == _block_verdict(b, tol, w, mirror) == general
+    general = oracle_psd_verdict([b], tol, [w], mirrors=[mirror])
+    assert psd_verdict([b], tol, [w], mirrors=[mirror]) == general
     if b.size:  # a given spectrum is read as given, NaN included
         w[data.draw(st.sampled_from([0, -1]))] = np.nan
-        assert same(psd_verdict([b], tol, [w], mirrors=[mirror]), psd_verdict([b], tol, [w, w], mirrors=[mirror]))
+        assert same(psd_verdict([b], tol, [w], mirrors=[mirror]), oracle_psd_verdict([b], tol, [w], mirrors=[mirror]))
+
+
+def drawn_entry(data) -> np.ndarray:
+    """A square block, a stack of 0-3 square blocks of one size, or an empty block."""
+    if data.draw(st.booleans()):
+        return drawn_block(data)
+    m, k = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rand(rng, k * m, m).reshape(k, m, m)
+    if data.draw(st.booleans()):
+        a = a @ a.conj().swapaxes(-1, -2)
+    return 10.0 ** data.draw(st.floats(-12, 12)) * a
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([DEFAULT_TOL, 1e-3, 1.0]))
+def test_psd_verdict_is_the_oracle_verdict_bit_for_bit(data, tol):
+    blocks = [drawn_entry(data) for _ in range(data.draw(st.integers(0, 4)))]
+    finite = [b for b in blocks if b.size]
+    if finite and data.draw(st.integers(0, 4)) == 0:  # one entry made non-finite
+        b = data.draw(st.sampled_from(finite))
+        b[np.unravel_index(data.draw(st.integers(0, b.size - 1)), b.shape)] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)]))
+    how = data.draw(st.sampled_from(["computed", "spectra", "mirrors"]))
+    spectra = mirrors = None
+    if how != "computed":
+        # one 1-d ascending spectrum per block, of all the matrices of a stack, maybe NaN at one end
+        with np.errstate(invalid="ignore"):
+            spectra = [np.sort(np.linalg.eigvalsh(np.nan_to_num(hermitized(b))), axis=None) for b in blocks]
+        for w in spectra:
+            if w.size and data.draw(st.booleans()):
+                w[data.draw(st.sampled_from([0, -1]))] = np.nan
+    if how == "mirrors":
+        mirrors = [b.conj().swapaxes(-1, -2) if data.draw(st.booleans()) else b[..., ::-1, :] for b in blocks]
+    if not all(np.isfinite(b).all() for b in blocks):
+        with pytest.raises(NotFinite):
+            psd_verdict(blocks, tol, spectra, mirrors)
+        return
+    assert same(psd_verdict(blocks, tol, spectra, mirrors), oracle_psd_verdict(blocks, tol, spectra, mirrors))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
@@ -230,7 +288,7 @@ def test_single_block_path_on_entries_whose_modulus_overflows():
     # finite entries with |z| = inf: no NotFinite, and the same (NaN-carrying) result
     b = np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = psd_verdict([b]), psd_verdict([b[None]])
+        got, want = psd_verdict([b]), oracle_psd_verdict([b])
     assert same(got, want) and got[0] is False
 
 

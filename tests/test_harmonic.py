@@ -22,7 +22,7 @@ from semifourier.harmonic import (
     to_groupoid,
 )
 from semifourier.maps import choi, choi_invert, convolve
-from semifourier.positivity import bochner_check, gram_pd_map, random_unitary
+from semifourier.positivity import bochner_check, gram_pd_map, pd_check, random_map, random_unitary
 from semifourier.semigroup import SemigroupTable, from_builtin, inverse_structure, matrix_unit_index
 
 from conftest import BUILTINS, get_irreps, get_structure
@@ -410,6 +410,31 @@ def test_concurrent_callers_share_one_finished_family():
     check_irreps_complete(st, list(got[0]))
     kept = [rho for k in range(len(st.dclasses)) for rho in st.class_irreps(k, 5)]
     assert all(rep.group_rep is rho for rep, rho in zip(got[0], kept, strict=True))
+
+
+def test_kept_irreps_and_conjugators_are_read_only():
+    # a write into the structure's kept irreps would move every later PD, Bochner and Fourier
+    # result on it; a fresh structure keeps a failure here from reaching other tests
+    st = inverse_structure(from_builtin("builtin:symmetric_inverse:3"))
+    f = random_map(st, 2, seed=0)
+    before = pd_check(f, "blocks")
+    for rho in (rho for k in range(len(st.dclasses)) for rho in st.class_irreps(k)):
+        with pytest.raises(ValueError):
+            np.multiply(rho.matrices, 10, out=rho.matrices)
+    for rep in induced_irreps(st):
+        with pytest.raises(ValueError):
+            rep.matrices[...] = 0
+    assert pd_check(f, "blocks") == before
+    u = random_unitary(induced_irreps(st)[-1].dim, seed=3)
+    conj = conjugated_rep(induced_irreps(st)[-1], u)
+    twice = conjugated_rep(conj, u)
+    for rep in (conj, twice):
+        with pytest.raises(ValueError):
+            rep.basis[0, 0] = 0
+    want = [t.matrix for t in fourier_transform_all(f, [conj, twice]).transforms]
+    u[...] = 0  # the caller's conjugator changes after the call; the reps keep their own copy
+    got = [t.matrix for t in fourier_transform_all(f, [conj, twice]).transforms]
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
 @pytest.mark.parametrize("ref", BUILTINS + ("builtin:symmetric_inverse:4",))

@@ -7,6 +7,7 @@ from semifourier.cli import main
 from semifourier.errors import SizeLimit
 from semifourier.harmonic import GROUPOID, NATURAL, MatrixMap, induced_irreps
 from semifourier.jsonio import (
+    dilation_to_json,
     map_fields,
     map_to_json,
     matrix_from_json,
@@ -17,7 +18,7 @@ from semifourier.jsonio import (
     semigroup_from_json,
     semigroup_to_json,
 )
-from semifourier.positivity import conjugation_rep, gram_pd_map, random_unitary
+from semifourier.positivity import conjugation_rep, gram_pd_map, random_unitary, stinespring
 from semifourier.semigroup import MAX_ORDER, build_cyclic_with_zero
 
 from conftest import SAMPLE_DATA, get_structure
@@ -31,6 +32,36 @@ def test_matrix_roundtrip():
     # the encoding is [re, im] pairs in row-major nested arrays
     encoded = matrix_to_json(np.array([[1 + 2j]]))
     assert encoded == [[[1.0, 2.0]]]
+
+
+def per_entry_json(m) -> list:
+    """Reference encoder: [float(re), float(im)] for each entry, one at a time, row by row."""
+    return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def test_matrix_to_json_is_the_per_entry_encoding_byte_for_byte():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, np.nan, np.inf, -np.inf, 0.1])
+    pairs = np.empty((len(special), len(special)), dtype=complex)
+    pairs.real, pairs.imag = special[:, None], special[None, :]  # every (re, im) of two specials
+    cases = [pairs, np.zeros((0, 0)), np.zeros((2, 0)), np.zeros((0, 3)), np.arange(6.0).reshape(2, 3)]
+    cases += [10.0 ** e * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))) for e in (-300, 0, 300)]
+    for m in cases:
+        assert json.dumps(matrix_to_json(m)) == json.dumps(per_entry_json(m))
+    stack = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    assert json.dumps(matrix_to_json(stack)) == json.dumps([per_entry_json(m) for m in stack])
+
+
+def test_whole_array_encoders_are_the_per_matrix_encoding():
+    st = get_structure("builtin:symmetric_inverse:3")
+    f = gram_pd_map(st, 2, seed=0)
+    names = st.table.element_names
+    assert map_to_json(f)["values"] == {names[s]: per_entry_json(f.values[s]) for s in st.nonzero}
+    d = stinespring(f)
+    assert dilation_to_json(d)["pi"] == {names[s]: per_entry_json(d.block(s)) for s in st.nonzero}
+    rho = conjugation_rep(random_unitary(3, seed=4))
+    mats = rep_to_json(rho)["matrices"]
+    assert mats == {f"e_{i + 1}_{j + 1}": per_entry_json(rho.matrices[i, j]) for i in range(3) for j in range(3)}
 
 
 def test_semigroup_roundtrip():

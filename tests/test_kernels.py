@@ -833,7 +833,8 @@ def oracle_transport_stinespring(f, tol=DEFAULT_TOL):
     r_classes = oracle_r_class_table(st)
     grams = oracle_r_class_grams(f, st.base_idempotents)
     stacked = [np.linalg.eigh(hermitized(g)) for _, g in grams]
-    ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [w for w, _ in stacked])
+    # one ascending spectrum per stack of R-class blocks, its rows merged
+    ok, lo, defect, norm2 = psd_verdict([g for _, g in grams], tol, [np.sort(w, axis=None) for w, _ in stacked])
     if not ok:
         raise NotPositiveDefinite(
             f"map is not positive definite (min eig {lo:.3e}, hermitian defect {defect:.3e})"
