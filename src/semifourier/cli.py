@@ -2,10 +2,10 @@
 
 Verb-style subcommands load semigroups and maps from files (or builtin
 references), run the analyses and emit deterministic JSON or text reports.
-Exit codes: 0 analysis completed (verdicts live in the payload), 2 parse
-error (only from reading the inputs, an option out of range or an
-unwritable --out), 3 invalid algebraic structure, 4 precondition failure,
-5 internal failure (a bug signal).
+Exit codes: 0 analysis completed (verdicts live in the payload); on a
+failure, the ``exit_code`` that the error's type names in ``errors`` (a
+ParseError comes only from reading the inputs, an option out of range or an
+unwritable --out), or 5 when it names none: an internal failure, a bug signal.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cxmat import DEFAULT_TOL
-from .errors import PRECONDITION_ERRORS, STRUCTURE_ERRORS, Error, NotPositiveDefinite, ParseError
+from .errors import Error, NotPositiveDefinite, ParseError
 from .harmonic import (
     MatrixMap,
     as_groupoid,
@@ -48,14 +48,14 @@ from .positivity import (
 )
 from .semigroup import MAX_DIM, build_matrix_units, groupoid_basis_matrices, inverse_structure
 
-PARSE_EXIT = 2
-STRUCTURE_EXIT = 3
-PRECONDITION_EXIT = 4
-INTERNAL_EXIT = 5
+INTERNAL_EXIT = 5  # the code of an exception whose type names none
 
 
-def _fail(code: int, kind: str, exc: BaseException | str) -> int:
-    error: dict = {"kind": kind}
+def _fail(exc: BaseException, kind: str | None = None) -> int:
+    code = getattr(type(exc), "exit_code", INTERNAL_EXIT)
+    if isinstance(exc, ParseError) and exc.__cause__ is not None:  # report what could not be read
+        exc = exc.__cause__
+    error: dict = {"kind": kind or type(exc).__name__}
     if isinstance(exc, Error) and len(exc.args) > 1:
         error["message"] = str(exc.args[0])
         error["witness"] = exc.args[1]
@@ -73,13 +73,14 @@ def _parse(load, *args):
     """Run one loader of the parse phase (``read_map``, ``load_rep``,
     ``resolve_semigroup``), or the writer of ``--out``.  Its untyped
     failures (an unreadable file, bad JSON, a missing key, a malformed table
-    or value, an unwritable path) become ParseError; the library's typed
-    errors pass through."""
+    or value, a table entry or dimension that is not a JSON integer, an
+    integer too large for its array, an unwritable path) become ParseError;
+    the library's typed errors pass through with their own exit codes."""
     try:
         return load(*args)
     except Error:
         raise
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -350,18 +351,12 @@ def main(argv=None) -> int:
                              ("--target-dim", 1 <= getattr(args, "target_dim", 1) <= MAX_DIM,
                               f"between 1 and {MAX_DIM}")):
         if not ok:
-            return _fail(PARSE_EXIT, "BadOption", f"{option} must be {rule}")
+            return _fail(ParseError(f"{option} must be {rule}"), "BadOption")
     args._inputs = args.inputs(args)
     try:
         _emit(args, args.command, args.func(args))
-    except ParseError as exc:
-        return _fail(PARSE_EXIT, type(exc.__cause__).__name__, exc.__cause__)
-    except STRUCTURE_ERRORS as exc:
-        return _fail(STRUCTURE_EXIT, type(exc).__name__, exc)
-    except PRECONDITION_ERRORS as exc:
-        return _fail(PRECONDITION_EXIT, type(exc).__name__, exc)
-    except Exception as exc:  # InternalInconsistency, ReconstructionFailure, or a bug
-        return _fail(INTERNAL_EXIT, type(exc).__name__, exc)
+    except Exception as exc:  # the exit code is the error type's; 5 for a bug
+        return _fail(exc)
     return 0
 
 

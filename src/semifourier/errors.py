@@ -1,122 +1,104 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the CLI exit code of each."""
 
 
 class Error(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- unreadable input (CLI exit code 2) ---
-
 class ParseError(Error):
     """An input file or reference could not be read; raised from the CLI's
     loaders with the underlying failure as its cause."""
+    exit_code = 2
 
 
-# --- invalid algebraic structure (CLI exit code 3) ---
+class StructureError(Error):
+    """The input is not a valid algebraic structure."""
+    exit_code = 3
 
-class NotAssociative(Error):
+
+class PreconditionError(Error):
+    """A well-formed input that the called function does not accept."""
+    exit_code = 4
+
+
+class NotAssociative(StructureError):
     """A multiplication table fails associativity; args carry a witness triple."""
 
 
-class ZeroNotAbsorbing(Error):
+class ZeroNotAbsorbing(StructureError):
     """The declared zero element is not absorbing."""
 
 
-class NotInverseSemigroup(Error):
+class NotInverseSemigroup(StructureError):
     """Some element has no, or more than one, generalized inverse."""
 
 
-STRUCTURE_ERRORS = (NotAssociative, ZeroNotAbsorbing, NotInverseSemigroup)
-
-
-# --- precondition / usage errors (CLI exit code 4) ---
-
-class SizeLimit(Error):
+class SizeLimit(PreconditionError):
     """Input exceeds the supported desk-scale size."""
 
 
-class AlreadyHasZero(Error):
+class AlreadyHasZero(PreconditionError):
     pass
 
 
-class NoZeroElement(Error):
+class NoZeroElement(PreconditionError):
     pass
 
 
-class NotIdempotent(Error):
+class NotIdempotent(PreconditionError):
     pass
 
 
-class ClassMismatch(Error):
+class ClassMismatch(PreconditionError):
     pass
 
 
-class NotHermitian(Error):
+class NotHermitian(PreconditionError):
     pass
 
 
-class DimensionMismatch(Error):
+class DimensionMismatch(PreconditionError):
     pass
 
 
-class SemigroupMismatch(Error):
+class SemigroupMismatch(PreconditionError):
     pass
 
 
-class IncompleteIrrepSet(Error):
+class IncompleteIrrepSet(PreconditionError):
     pass
 
 
-class WrongBasis(Error):
+class WrongBasis(PreconditionError):
     pass
 
 
-class WrongSemigroup(Error):
+class WrongSemigroup(PreconditionError):
     pass
 
 
-class IndexOutOfRange(Error):
+class IndexOutOfRange(PreconditionError):
     pass
 
 
-class NotPositiveDefinite(Error):
+class NotPositiveDefinite(PreconditionError):
     pass
 
 
-class NotARepresentation(Error):
+class NotARepresentation(PreconditionError):
     pass
 
 
-class NotFinite(Error, ValueError):
+class NotFinite(PreconditionError, ValueError):
     """A matrix or map holds a NaN or an infinite entry."""
 
 
-class UnknownMode(Error, ValueError):
+class UnknownMode(PreconditionError, ValueError):
     """A mode name that the function does not know."""
 
 
-PRECONDITION_ERRORS = (
-    SizeLimit,
-    AlreadyHasZero,
-    NoZeroElement,
-    NotIdempotent,
-    ClassMismatch,
-    NotHermitian,
-    DimensionMismatch,
-    SemigroupMismatch,
-    IncompleteIrrepSet,
-    WrongBasis,
-    WrongSemigroup,
-    IndexOutOfRange,
-    NotPositiveDefinite,
-    NotARepresentation,
-    NotFinite,
-    UnknownMode,
-)
-
-
-# --- internal-consistency failures: these signal a bug, not a data condition
-# (CLI exit code 5, as is any exception the library does not type) ---
+# --- internal-consistency failures: these signal a bug, not a data condition,
+# so they name no exit code (CLI exit code 5, as has any untyped exception) ---
 
 class InternalInconsistency(Error):
     pass

@@ -18,6 +18,17 @@ from .positivity import Dilation, MatrixAlgebraRep
 from .semigroup import MAX_DIM, SemigroupTable, check_order, from_builtin, inverse_structure
 
 
+_JSON_TYPES = {"integer": int, "object": dict, "array": list}
+
+
+def _expect(x, json_type: str, what: str):
+    """x when it is a JSON value of the named type, else ValueError: a bool, a float or a
+    string is not an integer, and nothing is coerced to one."""
+    if isinstance(x, bool) or not isinstance(x, _JSON_TYPES[json_type]):
+        raise ValueError(f"{what} must be a JSON {json_type}, got {json.dumps(x, default=str)[:40]}")
+    return x
+
+
 def check_dim(n: int, what: str) -> None:
     """Refuse a target or representation dimension above MAX_DIM before allocating for it."""
     if n > MAX_DIM:
@@ -44,8 +55,11 @@ def semigroup_to_json(t: SemigroupTable) -> dict:
 
 
 def semigroup_from_json(obj: dict) -> SemigroupTable:
-    names = tuple(str(x) for x in obj["elements"])
+    names = tuple(str(x) for x in _expect(obj["elements"], "array", "elements"))
     check_order(len(names), "semigroup")
+    for row in _expect(obj["table"], "array", "table"):
+        for x in _expect(row, "array", "table row"):
+            _expect(x, "integer", "table entry")
     zero = obj.get("zero")
     return SemigroupTable(
         name=str(obj.get("name", "semigroup")),
@@ -82,12 +96,12 @@ def map_to_json(f: MatrixMap, semigroup_ref: str | None = None) -> dict:
 def map_fields(obj: dict, base_dir: Path | None = None) -> tuple[SemigroupTable, int, str, np.ndarray]:
     """The semigroup table, target dim, basis tag and values of a map object, parsed only."""
     table = resolve_semigroup(obj["semigroup"], base_dir)
-    n = int(obj["target_dim"])
+    n = _expect(obj["target_dim"], "integer", "target_dim")
     if n < 1:
         raise ValueError(f"target_dim must be >= 1, got {n}")
     check_dim(n, "target_dim")
     vals = np.zeros((table.order, n, n), dtype=complex)
-    for name, rows in obj["values"].items():
+    for name, rows in _expect(obj["values"], "object", "values").items():
         vals[table.index_of(name)] = matrix_from_json(rows)
     return table, n, str(obj["basis"]), vals
 
@@ -118,16 +132,17 @@ def rep_to_json(rho: MatrixAlgebraRep) -> dict:
 
 
 def rep_from_json(obj: dict) -> MatrixAlgebraRep:
-    m = int(obj["source_dim"])
-    d = int(obj["rep_dim"])
+    m = _expect(obj["source_dim"], "integer", "source_dim")
+    d = _expect(obj["rep_dim"], "integer", "rep_dim")
     if min(m, d) < 1:
         raise ValueError(f"source_dim and rep_dim must be >= 1, got {m} and {d}")
     check_order(m * m + 1, f"matrix_units:{m}")  # the semigroup the probe builds for it
     check_dim(d, "rep_dim")
+    matrices = _expect(obj["matrices"], "object", "matrices")
     mats = np.zeros((m, m, d, d), dtype=complex)
     for i in range(m):
         for j in range(m):
-            mats[i, j] = matrix_from_json(obj["matrices"][f"e_{i + 1}_{j + 1}"])
+            mats[i, j] = matrix_from_json(matrices[f"e_{i + 1}_{j + 1}"])
     return MatrixAlgebraRep(m, d, mats)
 
 

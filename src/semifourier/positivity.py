@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     InternalInconsistency,
     NotARepresentation,
+    NotFinite,
     NotPositiveDefinite,
     ReconstructionFailure,
     UnknownMode,
@@ -405,6 +406,8 @@ class MatrixAlgebraRep:
         want = (self.m, self.m, self.dim, self.dim)
         if a.shape != want:
             raise DimensionMismatch(f"matrices must have shape {want}, got {a.shape}")
+        if not np.isfinite(a).all():  # refused here, before a product with it prints a RuntimeWarning
+            raise NotFinite("matrix entries must be finite")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "matrices", a)

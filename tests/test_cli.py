@@ -1,16 +1,22 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from semifourier import cli, semigroup
+from semifourier import cli, errors, semigroup
 from semifourier.cli import main
-from semifourier.errors import InternalInconsistency
+from semifourier.errors import InternalInconsistency, ParseError
 from semifourier.harmonic import MatrixMap, from_groupoid
-from semifourier.jsonio import load_map, matrix_from_json, save_map
+from semifourier.jsonio import load_map, matrix_from_json, save_map, semigroup_to_json
 from semifourier.positivity import gram_pd_map
 from semifourier.semigroup import MAX_DIM, MAX_ORDER, from_builtin
 
@@ -222,6 +228,39 @@ def test_failure_after_parsing_exits_5(monkeypatch, capsys, exc):
     assert error["frames"][-1].startswith("test_cli.py:") and error["frames"][-1].endswith(" broken")
 
 
+EXIT_CODES = {  # each error type's exit code; 5 where the type names none (a bug signal)
+    "Error": 5, "ParseError": 2, "StructureError": 3, "PreconditionError": 4,
+    "NotAssociative": 3, "ZeroNotAbsorbing": 3, "NotInverseSemigroup": 3,
+    "SizeLimit": 4, "AlreadyHasZero": 4, "NoZeroElement": 4, "NotIdempotent": 4, "ClassMismatch": 4,
+    "NotHermitian": 4, "DimensionMismatch": 4, "SemigroupMismatch": 4, "IncompleteIrrepSet": 4,
+    "WrongBasis": 4, "WrongSemigroup": 4, "IndexOutOfRange": 4, "NotPositiveDefinite": 4,
+    "NotARepresentation": 4, "NotFinite": 4, "UnknownMode": 4,
+    "InternalInconsistency": 5, "ReconstructionFailure": 5, "NonConvergent": 5,
+}
+
+
+def error_types(cls=errors.Error):
+    return {cls}.union(*(error_types(sub) for sub in cls.__subclasses__()))
+
+
+@pytest.mark.parametrize("cls", sorted(error_types(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_exit_code_is_the_error_type(monkeypatch, capsys, cls):
+    # a new error type fails here until it is classified, instead of exiting 5 unnoticed
+    assert cls.__name__ in EXIT_CODES, f"{cls.__name__} has no exit code in EXIT_CODES"
+
+    def broken(*args, **kwargs):
+        if issubclass(cls, ParseError):
+            raise cls("unreadable") from KeyError("cause")
+        raise cls("raised late")
+
+    monkeypatch.setattr(cli, "induced_irreps", broken)
+    code, out, err = run_cli(["analyze", "builtin:matrix_units:2"], capsys)
+    error = json.loads(err)["error"]
+    assert (code, out) == (EXIT_CODES[cls.__name__], "")
+    assert error["kind"] == ("KeyError" if issubclass(cls, ParseError) else cls.__name__)
+    assert ("frames" in error) == (code == 5)
+
+
 @pytest.mark.parametrize("verb", [["fourier"], ["invert"], ["check", "--which", "pd"], ["stinespring"]])
 def test_failure_while_deriving_a_map_structure_exits_5(monkeypatch, capsys, verb):
     # the map file parses; deriving its inverse structure comes after the parse phase
@@ -274,6 +313,113 @@ def test_zero_rep_dims_are_a_parse_error(tmp_path, capsys, dims):
     code, out, err = run_cli(["cpprobe", path, "--trials", "4"], capsys)
     error = json.loads(err)["error"]
     assert (code, out) == (2, "") and "dim" in error["message"] and "frames" not in error
+
+
+TWO = {"elements": ["z", "a"], "zero": "z", "table": [[0, 0], [0, 1]]}  # the semilattice {z < a}
+GRAM = json.loads((SAMPLE_DATA / "gram_i2_seed0.json").read_text())
+IDENTITY_REP = json.loads((SAMPLE_DATA / "identity_rep_m2.json").read_text())
+INF = float("inf")
+
+
+@pytest.mark.parametrize("verb,obj,kind,field", [
+    ("fourier", dict(GRAM, values=[1, 2]), "ValueError", "values"),                 # exited 5: AttributeError
+    ("fourier", dict(GRAM, target_dim=INF), "ValueError", "target_dim"),            # exited 5: OverflowError
+    ("analyze", dict(TWO, table=[[0, 0], [0, INF]]), "ValueError", "table entry"),  # exited 5: OverflowError
+    ("cpprobe", dict(IDENTITY_REP, rep_dim=INF), "ValueError", "rep_dim"),          # exited 5: OverflowError
+    ("analyze", dict(TWO, table=[[0, 0], [0, 1.7]]), "ValueError", "table entry"),  # exited 0: read as 1
+    ("analyze", dict(TWO, table=[[0, 0], [0, True]]), "ValueError", "table entry"),  # exited 0: read as 1
+    ("analyze", dict(TWO, elements="za"), "ValueError", "elements"),                # exited 0: read as ["z", "a"]
+    ("fourier", dict(GRAM, target_dim=2.9), "ValueError", "target_dim"),            # exited 0: read as 2
+    ("fourier", dict(GRAM, target_dim="2"), "ValueError", "target_dim"),            # exited 0: read as 2
+    ("analyze", dict(TWO, table=[[0, 0], [0, "1"]]), "ValueError", "table entry"),  # exited 0: read as 1
+    ("cpprobe", dict(IDENTITY_REP, source_dim=INF), "ValueError", "source_dim"),    # exited 5: OverflowError
+    ("cpprobe", dict(IDENTITY_REP, matrices=[]), "ValueError", "matrices"),         # exited 2 as a TypeError
+    ("analyze", dict(TWO, table=[[0, 0], [0, 2 ** 70]]), "OverflowError", "int"),   # exited 5: too large for int32
+], ids=["values-array", "target-dim-inf", "table-inf", "rep-dim-inf", "table-float", "table-bool",
+        "elements-string", "target-dim-float", "target-dim-string", "table-string", "source-dim-inf",
+        "matrices-array", "table-huge"])
+def test_malformed_json_types_are_parse_errors(tmp_path, capsys, verb, obj, kind, field):
+    # table entries and dimensions are JSON integers, values and matrices objects, elements an array:
+    # nothing is coerced, and no malformed field escapes the parse phase as exit 5
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([verb, path], capsys)
+    error = json.loads(err)["error"]
+    assert (code, out, error["kind"]) == (2, "", kind) and field in error["message"] and "frames" not in error
+
+
+def mutate(doc, path, op, value):
+    """Change, delete or duplicate the field of ``doc`` that ``path`` leads to.  A str step names
+    a key; an int step picks a key (in sorted order) or an item by position, modulo their number.
+    The walk stops at a leaf or an empty container.  A duplicate goes next to the item in a list,
+    or over the next key's value in an object."""
+    parent, key, node = None, None, doc
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        key = step if step in keys else keys[step % len(keys)]
+        parent, node = node, node[key]
+    if op == "change":
+        parent[key] = copy.deepcopy(value)
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    else:
+        keys = sorted(parent)
+        parent[keys[(keys.index(key) + 1) % len(keys)]] = copy.deepcopy(node)
+
+
+I2_FILE = "symmetric_inverse_2.json"
+SOURCES = {path.name: json.loads(path.read_text()) for path in sorted(SAMPLE_DATA.glob("*.json"))}
+SOURCES[I2_FILE] = semigroup_to_json(from_builtin("builtin:symmetric_inverse:2"))
+MUTATION_VALUES = [INF, -INF, float("nan"), 1.7, True, "1", [], {}, None]
+MUTATION = hst.tuples(hst.lists(hst.integers(0, 15), min_size=1, max_size=6),
+                      hst.sampled_from(["change", "delete", "duplicate"]), hst.sampled_from(MUTATION_VALUES))
+
+
+def applicable_argvs(source, path):
+    if source == I2_FILE:
+        return [["analyze", path]]
+    if "matrices" in SOURCES[source]:
+        return [["cpprobe", path, "--trials", "2"]]
+    return [[verb[0], path, *(path if a == "{map}" else a for a in verb[1:])] for verb in MAP_VERBS]
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=hst.sampled_from(sorted(SOURCES)), mutations=hst.lists(MUTATION, min_size=1, max_size=3))
+@example(source="gram_i2_seed0.json", mutations=[(["values"], "change", [1, 2])])
+@example(source="gram_i2_seed0.json", mutations=[(["target_dim"], "change", INF)])
+@example(source=I2_FILE, mutations=[(["table", 1, 1], "change", INF)])
+@example(source="identity_rep_m2.json", mutations=[(["rep_dim"], "change", INF)])
+@example(source=I2_FILE, mutations=[(["table", 1, 1], "change", 1.7)])
+@example(source=I2_FILE, mutations=[(["table", 1, 1], "change", True)])
+@example(source=I2_FILE, mutations=[(["elements"], "change", "za")])
+@example(source="gram_i2_seed0.json", mutations=[(["target_dim"], "change", 2.9)])
+@example(source="identity_rep_m2.json", mutations=[(["matrices", "e_1_2", 0, 0, 0], "change", -INF)])
+def test_malformed_inputs_end_in_a_documented_exit_code(mutation_dir, source, mutations):
+    # every verb on a mutated sample file ends in a verdict or a documented failure (2, 3 or 4),
+    # reported as one JSON line on stderr; exit 5, a bug signal, never comes from the input
+    doc = copy.deepcopy(SOURCES[source])
+    for mutation in mutations:
+        mutate(doc, *mutation)
+    path = mutation_dir / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for argv in applicable_argvs(source, str(path)):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv[0], err.getvalue())
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "frames" not in json.loads(lines[0])["error"], lines
 
 
 def test_invert_roundtrip_residual(capsys):
